@@ -86,14 +86,14 @@ class AcceptanceReport:
 # Individual criteria
 # ---------------------------------------------------------------------------
 
-def _criteria_1_2(seed: int, threads: int):
+def _criteria_1_2(seed: int):
     model = gaussian_model(
         N=16, p=4, theta=[1.0, -0.5, 0.25, 2.0], sigma2=0.25, seed=seed + 101
     )
     spec = ExperimentSpec(
         model=model, family="ls", trials=100_000, seed=seed + 1, keep_errors=True
     )
-    res = run(spec, threads=threads)
+    res = run(spec)
     target = model.p * model.sigma2
     mse = float(res.mse_emp[-1])
     c1 = CriterionResult(
@@ -166,15 +166,15 @@ def _criterion_3(seed: int):
         required="|z| <= 3 for r in {1, 2, 3}",
         data=data,
     )
-    return crit, {"c03_bias.json": json_text(data)}
+    return [crit], {"c03_bias.json": json_text(data)}
 
 
-def _criterion_4(seed: int, threads: int):
+def _criterion_4(seed: int):
     model = planted_model(
         N=16, coefficients=[20.0, 12.0, 0.0, 0.0], sigma2=1.0, seed=seed + 104
     )
     spec = ExperimentSpec(model=model, family="rrls", trials=100_000, seed=seed + 4)
-    res = run(spec, threads=threads)
+    res = run(spec)
     mse2 = float(res.mse_emp[1])
     mse_full = float(res.mse_emp[-1])
     target = 2.0
@@ -187,22 +187,22 @@ def _criterion_4(seed: int, threads: int):
         required="within 3% of 2.0 and strictly below the full-rank arm",
         data={"mse_r2": mse2, "mse_full": mse_full, "target": target},
     )
-    return crit, {"c04_dominance.csv": csv_text(SWEEP_HEADER, sweep_rows(res))}
+    return [crit], {"c04_dominance.csv": csv_text(SWEEP_HEADER, sweep_rows(res))}
 
 
-def _criterion_5(seed: int, threads: int):
+def _criterion_5(seed: int):
     analytic = math.erf(1.0) ** 2
     model = planted_model(
         N=16, coefficients=[2.0, 1.0, 0.0, 0.0], sigma2=1e-6, seed=seed + 105
     )
     spec = ExperimentSpec(model=model, family="rrls", trials=10_000, seed=seed + 5)
-    res = run(spec, threads=threads)
+    res = run(spec)
     freq = float(res.sel_freq[1])
     # Informational companion: with p = 2 the same planted-rank-2 recovery
     # succeeds essentially always (no noise-only direction to overselect).
     model2 = planted_model(N=16, coefficients=[2.0, 1.0], sigma2=1e-6, seed=seed + 205)
     spec2 = ExperimentSpec(model=model2, family="rrls", trials=10_000, seed=seed + 5)
-    freq2 = float(run(spec2, threads=threads).sel_freq[1])
+    freq2 = float(run(spec2).sel_freq[1])
     data = {
         "selected_rank_frequency": {str(int(r)): float(f) for r, f in zip(res.ranks, res.sel_freq)},
         "frequency_rank2": freq,
@@ -221,7 +221,7 @@ def _criterion_5(seed: int, threads: int):
         required=">= 0.99 over 10^4 trials",
         data=data,
     )
-    return crit, {"c05_rank_recovery.json": json_text(data)}
+    return [crit], {"c05_rank_recovery.json": json_text(data)}
 
 
 def _criteria_6_7_8(seed: int):
@@ -361,38 +361,25 @@ def _criterion_9(seed: int):
         required="a stored instance whose selected rank differs between two norm values",
         data=data,
     )
-    return crit, {"c09_norm_dependence.json": json_text(data)}
+    return [crit], {"c09_norm_dependence.json": json_text(data)}
 
 
-def _run_criteria(seed: int, threads: int) -> Tuple[List[CriterionResult], Dict[str, str]]:
+def _run_criteria(seed: int) -> Tuple[List[CriterionResult], Dict[str, str]]:
     results: List[CriterionResult] = []
     artifacts: Dict[str, str] = {}
-    part, art = _criteria_1_2(seed, threads)
-    results.extend(part)
-    artifacts.update(art)
-    crit, art = _criterion_3(seed)
-    results.append(crit)
-    artifacts.update(art)
-    crit, art = _criterion_4(seed, threads)
-    results.append(crit)
-    artifacts.update(art)
-    crit, art = _criterion_5(seed, threads)
-    results.append(crit)
-    artifacts.update(art)
-    part, art = _criteria_6_7_8(seed)
-    results.extend(part)
-    artifacts.update(art)
-    crit, art = _criterion_9(seed)
-    results.append(crit)
-    artifacts.update(art)
+    for criteria in (_criteria_1_2, _criterion_3, _criterion_4, _criterion_5,
+                     _criteria_6_7_8, _criterion_9):
+        part, art = criteria(seed)
+        results.extend(part)
+        artifacts.update(art)
     return results, artifacts
 
 
-def run_all(seed: int = DEFAULT_SEED, threads: int = 1) -> AcceptanceReport:
+def run_all(seed: int = DEFAULT_SEED) -> AcceptanceReport:
     """Run criteria 1-9, then repeat them with the same seed and confirm
     the emitted artifacts are byte-identical (criterion 10)."""
-    results, artifacts = _run_criteria(seed, threads)
-    _, artifacts_again = _run_criteria(seed, threads)
+    results, artifacts = _run_criteria(seed)
+    _, artifacts_again = _run_criteria(seed)
     same = set(artifacts) == set(artifacts_again) and all(
         artifacts[name] == artifacts_again[name] for name in artifacts
     )

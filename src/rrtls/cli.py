@@ -9,8 +9,11 @@ estimate
 sweep
     Monte Carlo rank sweep driven by a JSON config; emits one row per rank
     with the columns family, r, trials, mse_emp, mse_se, mse_theory,
-    rstar_freq, pass.  A config with a ``grid`` entry instead emits the
-    JSON selection-rule comparison report (norm-dependence flag included).
+    rstar_freq, pass.  The family label picks the observation model
+    (additive for ls/rrls, errors-in-variables for tls/rrtls); trials run
+    in order, so a seed fixes the output bytes.  A config with a ``grid``
+    entry instead emits the JSON selection-rule comparison report
+    (norm-dependence flag included).
 verify
     Runs the built-in acceptance suite and prints one pass/fail line per
     criterion; exit status 0 only if every criterion passed.
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import acceptance
 from .errors import ConfigError, RrtlsError
-from .harness import ExperimentSpec, compare_selection_rules, run
+from .harness import ADDITIVE, OBSERVATION_MODEL, ExperimentSpec, compare_selection_rules, run
 from .ls import ls_full, select_rank_ls
 from .model import MeasurementModel, gaussian_model, spectrum_model
 from .svdtools import order_by_scores, svd
@@ -72,7 +75,7 @@ def _check_keys(d: dict, allowed, required, context: str) -> None:
         raise ConfigError(f"missing key(s) in {context}: {', '.join(missing)}")
 
 
-def _number(cfg: dict, key: str, context: str, minimum=None) -> float:
+def _number(cfg, key, context: str, minimum=None) -> float:
     v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{context}.{key} must be a number")
@@ -250,7 +253,7 @@ def _scores_sidecar(spec: ExperimentSpec, res) -> dict:
         "sigma2": spec.model.sigma2,
         "mse_theory": res.mse_theory,
     }
-    if spec.family in ("ls", "rrls"):
+    if spec.observation == ADDITIVE:
         basis = order_by_scores(svd(spec.model.H).U, spec.model.x)
         doc["oracle_scores"] = basis.scores
     else:
@@ -284,7 +287,7 @@ def cmd_sweep(args) -> int:
     tls_mode = "oracle"
     bound = None
     if "tls_mode" in cfg:
-        if family not in ("tls", "rrtls"):
+        if OBSERVATION_MODEL.get(family) == ADDITIVE:
             raise ConfigError("'tls_mode' is only valid for families tls/rrtls")
         sub = cfg["tls_mode"]
         _check_keys(sub, {"mode", "bound"}, {"mode"}, "tls_mode")
@@ -295,12 +298,15 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"tls_mode.mode must be oracle or bound, got {tls_mode!r}")
         elif "bound" in sub:
             raise ConfigError("tls_mode.bound is only valid with mode 'bound'")
+    # Every rank arm is reported, with the data-driven selection beside it;
+    # the key is accepted for configs that state that explicitly.
+    if cfg.get("rank_policy", "auto") != "auto":
+        raise ConfigError("config.rank_policy must be 'auto'")
     spec = ExperimentSpec(
         model=model,
         family=family,
         trials=trials,
         seed=seed,
-        rank_policy=_rank_policy(cfg, "rank_policy", "config"),
         tls_mode=tls_mode,
         bound=bound,
     )
@@ -313,7 +319,9 @@ def cmd_sweep(args) -> int:
         grid = cfg["grid"]
         if not isinstance(grid, list) or not grid:
             raise ConfigError("config.grid must be a non-empty list of numbers")
-        comp = compare_selection_rules(spec, [float(g) for g in grid])
+        comp = compare_selection_rules(
+            spec, [_number(grid, i, "config.grid", minimum=0.0) for i in range(len(grid))]
+        )
         doc = {
             "family": family,
             "trials": trials,
@@ -335,7 +343,7 @@ def cmd_sweep(args) -> int:
             sys.stdout.write(text)
         return 0
 
-    res = run(spec, threads=args.threads)
+    res = run(spec)
     if fmt == "csv":
         text = csv_text(acceptance.SWEEP_HEADER, acceptance.sweep_rows(res))
     else:
@@ -357,7 +365,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else acceptance.DEFAULT_SEED
-    report = acceptance.run_all(seed=seed, threads=args.threads)
+    report = acceptance.run_all(seed=seed)
     for result in report.results:
         print(result.line())
     if args.out:
@@ -373,18 +381,6 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
-
-def _threads_arg(value: str) -> int:
-    if value == "auto":
-        return os.cpu_count() or 1
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError("--threads expects an integer or 'auto'")
-    if n < 1:
-        raise argparse.ArgumentTypeError("--threads must be >= 1")
-    return n
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -403,17 +399,11 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--seed", type=int, default=None)
     swp.add_argument("--out", default=None)
     swp.add_argument("--format", choices=("csv", "json"), default=None)
-    swp.add_argument("--threads", type=_threads_arg, default=1)
-    swp.add_argument("--sequential", action="store_true",
-                     help="force bit-exact sequential aggregation")
     swp.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify", help="run the acceptance suite")
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--out", default=None)
-    ver.add_argument("--format", choices=("csv", "json"), default=None)
-    ver.add_argument("--threads", type=_threads_arg, default=1)
-    ver.add_argument("--sequential", action="store_true")
     ver.set_defaults(func=cmd_verify)
     return parser
 
@@ -424,8 +414,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return int(err.code) if err.code else 0
-    if getattr(args, "sequential", False):
-        args.threads = 1
     try:
         return args.func(args)
     except ConfigError as err:

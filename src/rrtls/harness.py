@@ -1,20 +1,22 @@
 """Monte Carlo engine and statistical verifiers.
 
-``run`` draws trials from per-trial substreams, evaluates every rank arm of
-the requested estimator family on the same realizations (paired-seed
-fairness), and aggregates squared errors in a numerically stable streaming
-fashion.  ``verify_chi_square`` turns the normalized-squared-error moment
-claims into pass/fail reports, ``compare_selection_rules`` evaluates the
-rank selection of the reduced TLS hypothesis across a grid of parameter
-norms on identical realizations, and ``search_norm_dependence_witness`` finds a
-synthetic score vector whose selected rank provably changes with the
-parameter norm.
+The four estimator families are labels over two observation models:
+``ls``/``rrls`` draw additive noise, ``tls``/``rrtls`` draw
+errors-in-variables realizations.  ``run`` loops over the trials in order,
+drawing each from its own substream, evaluates every rank arm of the
+observation model on the same realizations (paired-seed fairness), and
+aggregates squared errors in a numerically stable streaming fashion.
+``verify_chi_square`` turns the normalized-squared-error moment claims into
+pass/fail reports, ``compare_selection_rules`` evaluates the rank selection
+of the reduced TLS hypothesis across a grid of parameter norms on identical
+realizations, and ``search_norm_dependence_witness`` finds a synthetic
+score vector whose selected rank provably changes with the parameter norm.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -31,9 +33,11 @@ from .tls import (
     tls_solve,
 )
 
-FAMILIES = ("ls", "rrls", "tls", "rrtls")
-TLS_FAMILIES = ("tls", "rrtls")
-CHUNK_SIZE = 8192
+ADDITIVE = "additive"
+ERRORS_IN_VARIABLES = "errors-in-variables"
+OBSERVATION_MODEL = {"ls": ADDITIVE, "rrls": ADDITIVE,
+                     "tls": ERRORS_IN_VARIABLES, "rrtls": ERRORS_IN_VARIABLES}
+FAMILIES = tuple(OBSERVATION_MODEL)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +47,7 @@ CHUNK_SIZE = 8192
 class VecStats:
     """Streaming central moments up to order four (Welford/Pebay updates),
     elementwise over arrays.  Supports associative merging of partial
-    aggregates for chunked execution."""
+    aggregates."""
 
     def __init__(self, shape=()):
         self.n = 0
@@ -127,7 +131,6 @@ class VecStats:
 class ExperimentSpec:
     """What to simulate: model, estimator family, trial budget and seed.
 
-    ``rank_policy`` is ``"auto"`` (per-trial selected rank) or a fixed rank;
     ``tls_mode``/``bound`` choose how the reduced-TLS selection objective
     obtains the squared parameter norm (the oracle value from the model, or
     a caller-supplied upper bound).
@@ -137,7 +140,6 @@ class ExperimentSpec:
     family: str
     trials: int
     seed: int
-    rank_policy: object = "auto"
     tls_mode: str = "oracle"
     bound: Optional[float] = None
     mse_rtol: float = 0.03
@@ -151,16 +153,16 @@ class ExperimentSpec:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.rank_policy != "auto":
-            r = int(self.rank_policy)
-            if not 1 <= r <= self.model.p:
-                raise ValueError(f"fixed rank {r} out of range 1..{self.model.p}")
-            self.rank_policy = r
         if self.tls_mode not in ("oracle", "bound"):
             raise ValueError(f"tls_mode must be 'oracle' or 'bound', got {self.tls_mode!r}")
         if self.tls_mode == "bound":
             if self.bound is None or self.bound < 0:
                 raise ValueError("bound mode requires a nonnegative bound")
+
+    @property
+    def observation(self) -> str:
+        """The observation model the family label stands for."""
+        return OBSERVATION_MODEL[self.family]
 
 
 @dataclass
@@ -255,25 +257,6 @@ class _Accumulator:
         self.samples = [] if keep_samples else None
         self.errors = [] if keep_errors else None
 
-    def add_failure(self, code: str) -> None:
-        self.failures[code] = self.failures.get(code, 0) + 1
-
-    def merge(self, other: "_Accumulator") -> None:
-        self.sq.merge(other.sq)
-        self.auto.merge(other.auto)
-        self.norm.merge(other.norm)
-        self.theory.merge(other.theory)
-        self.risk.merge(other.risk)
-        self.formula_full.merge(other.formula_full)
-        self.sel_counts += other.sel_counts
-        self.alt_counts += other.alt_counts
-        for code, count in other.failures.items():
-            self.failures[code] = self.failures.get(code, 0) + count
-        if self.samples is not None:
-            self.samples.extend(other.samples)
-        if self.errors is not None:
-            self.errors.extend(other.errors)
-
 
 def _rank_sq_errors(columns: np.ndarray, c: np.ndarray, d: np.ndarray,
                     x: np.ndarray) -> np.ndarray:
@@ -286,8 +269,26 @@ def _rank_sq_errors(columns: np.ndarray, c: np.ndarray, d: np.ndarray,
     return np.cumsum(diff * diff) + tail_sums(d * d) + float(rho @ rho)
 
 
-def _ls_trial(spec: ExperimentSpec, U: np.ndarray, trial: int,
-              acc: _Accumulator) -> None:
+def _eiv_front(model: MeasurementModel, seed: int, trial: int,
+               failures: Dict[str, int]):
+    """Errors-in-variables trial up to the selection scores: sample, solve,
+    order the retained columns and append the discarded direction's score.
+
+    Returns ``(y, estimate, basis, augmented scores)``, or ``None`` after
+    counting a solver failure under its error code.
+    """
+    real = sample_tls(model, seed, trial)
+    try:
+        est = tls_solve(real.H_tilde, real.y)
+    except RrtlsError as err:
+        failures[err.code] = failures.get(err.code, 0) + 1
+        return None
+    basis = order_by_scores(est.retained_columns, real.y)
+    return real.y, est, basis, augmented_scores(basis, est.discarded_column, real.y)
+
+
+def _additive_trial(spec: ExperimentSpec, U: np.ndarray, trial: int,
+                    acc: _Accumulator) -> None:
     model = spec.model
     real = sample_ls(model, spec.seed, trial)
     basis = order_by_scores(U, real.y)
@@ -307,25 +308,19 @@ def _ls_trial(spec: ExperimentSpec, U: np.ndarray, trial: int,
         acc.errors.append(basis.columns @ c - model.x)
 
 
-def _tls_trial(spec: ExperimentSpec, trial: int, acc: _Accumulator) -> None:
+def _eiv_trial(spec: ExperimentSpec, trial: int, acc: _Accumulator) -> None:
     model = spec.model
-    real = sample_tls(model, spec.seed, trial)
-    try:
-        est = tls_solve(real.H_tilde, real.y)
-    except RrtlsError as err:
-        acc.add_failure(err.code)
+    front = _eiv_front(model, spec.seed, trial, acc.failures)
+    if front is None:
         return
-    y = real.y
-    basis = order_by_scores(est.retained_columns, y)
-    u_s = est.discarded_column
+    y, est, basis, scores_aug = front
     c = basis.columns.T @ y
     d = basis.columns.T @ model.x
     sq = _rank_sq_errors(basis.columns, c, d, model.x)
-    scores_aug = augmented_scores(basis, u_s, y)
     t_val = model.theta_norm2 if spec.tls_mode == "oracle" else float(spec.bound)
     qobj = q_objective(scores_aug, model.sigma2, model.p, t_val, spec.tls_mode)
     alt_values = q_objective_bias_recipe(scores_aug, model.sigma2, model.p, t_val)
-    d_aug = np.append(d, float(u_s @ model.x))
+    d_aug = np.append(d, float(est.discarded_column @ model.x))
     theory = tail_sums(d_aug * d_aug)[: model.p] + np.arange(1, model.p + 1) * model.sigma2
     acc.sq.add(sq)
     acc.auto.add(sq[qobj.q_star - 1])
@@ -339,62 +334,33 @@ def _tls_trial(spec: ExperimentSpec, trial: int, acc: _Accumulator) -> None:
         acc.errors.append(basis.columns @ c - model.x)
 
 
-def _run_range(spec: ExperimentSpec, U: Optional[np.ndarray],
-               lo: int, hi: int) -> _Accumulator:
-    tls = spec.family in TLS_FAMILIES
-    acc = _Accumulator(spec.model.p, spec.keep_samples, spec.keep_errors)
-    for t in range(lo, hi):
-        if tls:
-            _tls_trial(spec, t, acc)
-        else:
-            _ls_trial(spec, U, t, acc)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
 
-def run(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
-    """Execute the Monte Carlo experiment.
-
-    ``threads=1`` is the bit-exact sequential mode (trial-order
-    aggregation).  With more threads, trials are split into fixed-size
-    chunks whose partial aggregates are merged in chunk order, so results
-    are deterministic for any thread count but may differ from sequential
-    mode in the last floating-point bits.
+def run(spec: ExperimentSpec) -> ExperimentResult:
+    """Execute the Monte Carlo experiment, one trial after another in trial
+    order, so a seed fixes every aggregate bit for bit.
 
     Per-trial estimator failures (e.g. TLS nonuniqueness) are counted per
     error code and excluded from the aggregates, never imputed.
     """
     model = spec.model
-    tls = spec.family in TLS_FAMILIES
-    U = None
-    mse_theory = None
-    if not tls:
+    p = model.p
+    eiv = spec.observation == ERRORS_IN_VARIABLES
+    if eiv:
+        trial_fn = partial(_eiv_trial, spec)
+    else:
         U = svd(model.H).U
         oracle_basis = order_by_scores(U, model.x)
-        ranks = np.arange(1, model.p + 1)
-        mse_theory = tail_sums(oracle_basis.scores) + ranks * model.sigma2
-
-    if threads <= 1 or spec.trials <= CHUNK_SIZE:
-        acc = _run_range(spec, U, 0, spec.trials)
-    else:
-        bounds = list(range(0, spec.trials, CHUNK_SIZE)) + [spec.trials]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda se: _run_range(spec, U, se[0], se[1]),
-                    zip(bounds[:-1], bounds[1:]),
-                )
-            )
-        acc = parts[0]
-        for part in parts[1:]:
-            acc.merge(part)
+        mse_theory = tail_sums(oracle_basis.scores) + np.arange(1, p + 1) * model.sigma2
+        trial_fn = partial(_additive_trial, spec, U)
+    acc = _Accumulator(p, spec.keep_samples, spec.keep_errors)
+    for t in range(spec.trials):
+        trial_fn(t, acc)
 
     completed = acc.sq.n
-    p = model.p
-    if tls:
+    if eiv:
         mse_theory = acc.theory.mean if completed else np.full(p, np.nan)
     mse_emp = acc.sq.mean if completed else np.full(p, np.nan)
     mse_se = acc.sq.se()
@@ -403,7 +369,7 @@ def run(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     se_term = np.where(np.isfinite(mse_se), 3.0 * mse_se, 0.0)
     row_pass = diff <= np.maximum(spec.mse_rtol * np.abs(mse_theory), se_term)
     moments = None
-    if not tls and model.sigma2 > 0 and completed >= 2:
+    if not eiv and model.sigma2 > 0 and completed >= 2:
         var = float(acc.norm.variance())
         m = float(acc.norm.mean)
         moments = MomentReport(
@@ -429,12 +395,12 @@ def run(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
         mse_se=mse_se,
         mse_theory=np.asarray(mse_theory, dtype=float),
         sel_freq=sel_freq,
-        sel_freq_alt=(acc.alt_counts / completed if tls and completed else None),
+        sel_freq_alt=(acc.alt_counts / completed if eiv and completed else None),
         auto_mse=float(acc.auto.mean) if completed else float("nan"),
         auto_se=float(acc.auto.se()) if completed else float("nan"),
-        risk_estimate_mean=(np.asarray(acc.risk.mean) if not tls and completed else None),
-        risk_estimate_se=(np.asarray(acc.risk.se()) if not tls and completed else None),
-        tls_full_formula_mean=(float(acc.formula_full.mean) if tls and completed else None),
+        risk_estimate_mean=(np.asarray(acc.risk.mean) if not eiv and completed else None),
+        risk_estimate_se=(np.asarray(acc.risk.se()) if not eiv and completed else None),
+        tls_full_formula_mean=(float(acc.formula_full.mean) if eiv and completed else None),
         moments=moments,
         mse_rtol=spec.mse_rtol,
         row_pass=row_pass,
@@ -508,15 +474,11 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
     witness = None
     completed = 0
     for t in range(spec.trials):
-        real = sample_tls(model, spec.seed, t)
-        try:
-            est = tls_solve(real.H_tilde, real.y)
-        except RrtlsError as err:
-            failures[err.code] = failures.get(err.code, 0) + 1
+        front = _eiv_front(model, spec.seed, t, failures)
+        if front is None:
             continue
         completed += 1
-        basis = order_by_scores(est.retained_columns, real.y)
-        scores_aug = augmented_scores(basis, est.discarded_column, real.y)
+        scores_aug = front[3]
         q_stars = np.empty(grid_arr.shape[0], dtype=int)
         for i, t_val in enumerate(grid_arr):
             q_stars[i] = q_objective(scores_aug, model.sigma2, p, t_val, "oracle").q_star

@@ -18,16 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularModelError
-from .model import MeasurementModel
+from .model import DEFAULT_RANK_RTOL, MeasurementModel, _frozen_array
 from .svdtools import OrderedBasis, svd
-
-DEFAULT_RANK_RTOL = 1e-10
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -40,9 +32,9 @@ class LsEstimate:
     rank_used: int
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_hat", _frozen(self.theta_hat))
-        object.__setattr__(self, "x_hat", _frozen(self.x_hat))
-        object.__setattr__(self, "n_hat", _frozen(self.n_hat))
+        object.__setattr__(self, "theta_hat", _frozen_array(self.theta_hat))
+        object.__setattr__(self, "x_hat", _frozen_array(self.x_hat))
+        object.__setattr__(self, "n_hat", _frozen_array(self.n_hat))
 
 
 @dataclass(frozen=True)
@@ -55,7 +47,7 @@ class BiasEstimate:
     r: int
 
     def __post_init__(self):
-        object.__setattr__(self, "b_hat", _frozen(self.b_hat))
+        object.__setattr__(self, "b_hat", _frozen_array(self.b_hat))
 
 
 @dataclass(frozen=True)
@@ -69,7 +61,7 @@ class RankSelection:
     sigma2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", _frozen(self.objective))
+        object.__setattr__(self, "objective", _frozen_array(self.objective))
 
     @property
     def ranks(self) -> np.ndarray:

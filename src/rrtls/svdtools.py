@@ -14,13 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _frozen_array
+
 ORTHO_TOL = 1e-10
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -32,9 +28,9 @@ class SvdFactorization:
     V: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "U", _frozen(self.U))
-        object.__setattr__(self, "S", _frozen(self.S))
-        object.__setattr__(self, "V", _frozen(self.V))
+        object.__setattr__(self, "U", _frozen_array(self.U))
+        object.__setattr__(self, "S", _frozen_array(self.S))
+        object.__setattr__(self, "V", _frozen_array(self.V))
 
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.S) @ self.V.T
@@ -54,11 +50,9 @@ class OrderedBasis:
     permutation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", _frozen(self.columns))
-        object.__setattr__(self, "scores", _frozen(self.scores))
-        perm = np.array(self.permutation, dtype=int, copy=True)
-        perm.setflags(write=False)
-        object.__setattr__(self, "permutation", perm)
+        object.__setattr__(self, "columns", _frozen_array(self.columns))
+        object.__setattr__(self, "scores", _frozen_array(self.scores))
+        object.__setattr__(self, "permutation", _frozen_array(self.permutation, dtype=int))
 
     @property
     def k(self) -> int:

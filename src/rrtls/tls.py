@@ -23,20 +23,14 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateSolutionError, NonUniqueTlsError
-from .ls import tail_sums
-from .model import MeasurementModel
+from .ls import ls_reduced, tail_sums
+from .model import MeasurementModel, _frozen_array
 from .svdtools import OrderedBasis, SvdFactorization, svd
 
 DEFAULT_GAP_RTOL = 1e-10
 DEFAULT_DEGENERACY_RTOL = 1e-12
 
 Q_MODES = ("oracle", "bound")
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -54,10 +48,10 @@ class TlsEstimate:
     singular_gap: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_hat", _frozen(self.theta_hat))
-        object.__setattr__(self, "x_hat", _frozen(self.x_hat))
-        object.__setattr__(self, "n_hat", _frozen(self.n_hat))
-        object.__setattr__(self, "H_corrected", _frozen(self.H_corrected))
+        object.__setattr__(self, "theta_hat", _frozen_array(self.theta_hat))
+        object.__setattr__(self, "x_hat", _frozen_array(self.x_hat))
+        object.__setattr__(self, "n_hat", _frozen_array(self.n_hat))
+        object.__setattr__(self, "H_corrected", _frozen_array(self.H_corrected))
 
     @property
     def retained_columns(self) -> np.ndarray:
@@ -87,8 +81,8 @@ class QObjective:
     scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
-        object.__setattr__(self, "scores", _frozen(self.scores))
+        object.__setattr__(self, "values", _frozen_array(self.values))
+        object.__setattr__(self, "scores", _frozen_array(self.scores))
 
 
 @dataclass(frozen=True)
@@ -102,10 +96,8 @@ class NormDependenceCertificate:
     witness: Optional[Tuple[float, float, int, int]]
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_norm2_grid", _frozen(self.theta_norm2_grid))
-        qs = np.array(self.q_stars, dtype=int, copy=True)
-        qs.setflags(write=False)
-        object.__setattr__(self, "q_stars", qs)
+        object.__setattr__(self, "theta_norm2_grid", _frozen_array(self.theta_norm2_grid))
+        object.__setattr__(self, "q_stars", _frozen_array(self.q_stars, dtype=int))
 
 
 def tls_solve(
@@ -182,14 +174,9 @@ def tls_objective(theta, H_tilde, y) -> float:
     return float(r @ r) / (float(theta @ theta) + 1.0)
 
 
-def tls_reduced(basis: OrderedBasis, y, q: int) -> np.ndarray:
-    """Rank-q signal estimate from the ordered retained columns: projection
-    of y onto the span of the first q of them."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if not 1 <= q <= basis.k:
-        raise ValueError(f"rank q={q} out of range 1..{basis.k}")
-    Uq = basis.columns[:, :q]
-    return Uq @ (Uq.T @ y)
+# The rank-q TLS signal estimate projects y onto the first q ordered
+# retained columns: the same projection as the rank-r LS estimate.
+tls_reduced = ls_reduced
 
 
 def mse_theoretical_tls_full(model: MeasurementModel, estimate: TlsEstimate) -> float:

@@ -182,8 +182,8 @@ def test_sweep_seed_override_and_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     out3 = tmp_path / "c.csv"
-    assert main(["sweep", "--config", cfg, "--out", str(out1), "--sequential"]) == 0
-    assert main(["sweep", "--config", cfg, "--out", str(out2), "--sequential"]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert main(["sweep", "--config", cfg, "--out", str(out3), "--seed", "9999"]) == 0
     assert out1.read_bytes() != out3.read_bytes()
@@ -300,6 +300,22 @@ def test_sweep_grid_requires_rrtls(tmp_path):
     assert main(["sweep", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"rank_policy": 1},
+        {"rank_policy": 3},
+        {"rank_policy": "fixed"},
+        {"family": "rrtls", "format": "json", "grid": ["0", True, "3"]},
+    ],
+    ids=["rank-policy-1", "rank-policy-3", "rank-policy-str", "grid-non-numbers"],
+)
+def test_sweep_rejects_invalid_config_values(tmp_path, capsys, overrides):
+    cfg = sweep_config(tmp_path, **overrides)
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "error: config:" in capsys.readouterr().err
+
+
 def test_sweep_byte_identical_across_processes(tmp_path):
     # separate interpreter processes (fresh hash seeds) must emit the same
     # bytes as an in-process run with the same seed
@@ -309,14 +325,11 @@ def test_sweep_byte_identical_across_processes(tmp_path):
 
     cfg = sweep_config(tmp_path, trials=300)
     out_proc = tmp_path / "proc.csv"
-    cmd = [
-        sys.executable, "-m", "rrtls.cli", "sweep",
-        "--config", cfg, "--out", str(out_proc), "--sequential",
-    ]
+    cmd = [sys.executable, "-m", "rrtls.cli", "sweep", "--config", cfg, "--out", str(out_proc)]
     env = {**os.environ, "PYTHONHASHSEED": "12345"}
     assert subprocess.run(cmd, env=env, capture_output=True).returncode == 0
     out_local = tmp_path / "local.csv"
-    assert main(["sweep", "--config", cfg, "--out", str(out_local), "--sequential"]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(out_local)]) == 0
     assert out_proc.read_bytes() == out_local.read_bytes()
     assert (tmp_path / "proc.scores.json").read_bytes() == (
         tmp_path / "local.scores.json"
@@ -338,9 +351,8 @@ def test_float_formatting_round_trips():
 def test_verify_wiring(tmp_path, monkeypatch, capsys):
     calls = {}
 
-    def fake_run_all(seed, threads=1):
+    def fake_run_all(seed):
         calls["seed"] = seed
-        calls["threads"] = threads
         result = rrtls.acceptance.CriterionResult(
             number=1, name="stub", passed=True, observed="x", required="y", data={"k": 1}
         )
@@ -351,7 +363,7 @@ def test_verify_wiring(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(rrtls.acceptance, "run_all", fake_run_all)
     out_dir = tmp_path / "verify"
     assert main(["verify", "--seed", "42", "--out", str(out_dir)]) == 0
-    assert calls == {"seed": 42, "threads": 1}
+    assert calls == {"seed": 42}
     out = capsys.readouterr().out
     assert "criterion 01 stub: PASS" in out
     assert (out_dir / "stub.json").exists()
@@ -360,7 +372,7 @@ def test_verify_wiring(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_failing_criterion_exits_1(monkeypatch):
-    def fake_run_all(seed, threads=1):
+    def fake_run_all(seed):
         result = rrtls.acceptance.CriterionResult(
             number=5, name="stub", passed=False, observed="o", required="r", data={}
         )

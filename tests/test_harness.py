@@ -1,15 +1,28 @@
 import numpy as np
 import pytest
 
+import rrtls.harness as harness_mod
 from rrtls import (
     ExperimentSpec,
     InsufficientDataError,
     MeasurementModel,
+    NonUniqueTlsError,
+    RrtlsError,
+    augmented_scores,
     compare_selection_rules,
+    ls_reduced,
+    order_by_scores,
     planted_model,
+    q_objective,
+    q_objective_bias_recipe,
     run,
+    sample_ls,
+    sample_tls,
     search_norm_dependence_witness,
     norm_dependence_certificate,
+    select_rank_ls,
+    svd,
+    tls_reduced,
     verify_chi_square,
 )
 from rrtls.harness import VecStats
@@ -76,17 +89,6 @@ def test_sequential_runs_are_bit_identical():
     assert a.auto_mse == b.auto_mse
 
 
-def test_threaded_runs_are_deterministic_and_close_to_sequential():
-    spec = ExperimentSpec(model=small_model(), family="rrls", trials=20_000, seed=11)
-    seq = run(spec, threads=1)
-    par1 = run(spec, threads=3)
-    par2 = run(spec, threads=3)
-    assert np.array_equal(par1.mse_emp, par2.mse_emp)
-    assert np.array_equal(par1.mse_se, par2.mse_se)
-    np.testing.assert_allclose(par1.mse_emp, seq.mse_emp, rtol=1e-12)
-    assert par1.completed == seq.completed == 20_000
-
-
 def test_paired_realizations_across_families():
     # same seed => same sampled observations, so the ls and rrls tables agree
     model = small_model()
@@ -100,14 +102,13 @@ def test_streaming_matches_batch_recomputation():
     spec = ExperimentSpec(
         model=small_model(), family="rrls", trials=400, seed=15, keep_samples=True
     )
-    for threads in (1, 2):
-        res = run(spec, threads=threads)
-        raw = res.raw_sq_err
-        assert raw.shape == (400, 4)
-        np.testing.assert_allclose(res.mse_emp, raw.mean(axis=0), rtol=1e-10)
-        np.testing.assert_allclose(
-            res.mse_se, raw.std(axis=0, ddof=1) / np.sqrt(400), rtol=1e-10
-        )
+    res = run(spec)
+    raw = res.raw_sq_err
+    assert raw.shape == (400, 4)
+    np.testing.assert_allclose(res.mse_emp, raw.mean(axis=0), rtol=1e-10)
+    np.testing.assert_allclose(
+        res.mse_se, raw.std(axis=0, ddof=1) / np.sqrt(400), rtol=1e-10
+    )
 
 
 def test_tls_run_reports_conditional_theory_and_formula():
@@ -124,8 +125,6 @@ def test_tls_run_reports_conditional_theory_and_formula():
 
 def test_rank_policy_validation():
     model = small_model()
-    with pytest.raises(ValueError, match="out of range"):
-        ExperimentSpec(model=model, family="rrls", trials=10, seed=1, rank_policy=9)
     with pytest.raises(ValueError, match="family"):
         ExperimentSpec(model=model, family="nope", trials=10, seed=1)
     with pytest.raises(ValueError, match="bound"):
@@ -254,3 +253,133 @@ def test_witness_search_is_deterministic_and_verifiable():
     cert = norm_dependence_certificate([a.t1, a.t2], a.scores, a.sigma2, a.p)
     assert not cert.is_constant
     assert tuple(cert.q_stars) == (a.q1, a.q2)
+
+
+# ---------------------------------------------------------------------------
+# reference equivalence: short sweeps replayed trial by trial through the
+# public per-trial functions, independently of how the engine loops
+# ---------------------------------------------------------------------------
+
+def _tails(v):
+    suffix = np.cumsum(np.asarray(v, dtype=float)[::-1])[::-1]
+    return np.append(suffix[1:], 0.0)
+
+
+def _flaky(solve):
+    # deterministic failure injection so that failure counting is replayed too
+    def flaky_solve(H_tilde, y, **kwargs):
+        if int(np.floor(abs(y[0]) * 1e6)) % 5 == 0:
+            raise NonUniqueTlsError("injected")
+        return solve(H_tilde, y, **kwargs)
+
+    return flaky_solve
+
+
+def _replay_tls_front(model, seed, trial, solve, failures):
+    real = sample_tls(model, seed, trial)
+    try:
+        est = solve(real.H_tilde, real.y)
+    except RrtlsError as err:
+        failures[err.code] = failures.get(err.code, 0) + 1
+        return None
+    basis = order_by_scores(est.retained_columns, real.y)
+    return real.y, est, basis, augmented_scores(basis, est.discarded_column, real.y)
+
+
+def _assert_matches_reference(res, counts, failures, sq, auto, theory):
+    sq = np.array(sq)
+    completed = sq.shape[0]
+    assert res.completed == completed
+    assert res.failures == failures
+    assert np.array_equal(res.sel_freq, counts / completed)
+    np.testing.assert_allclose(res.mse_emp, sq.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(
+        res.mse_se, sq.std(axis=0, ddof=1) / np.sqrt(completed), rtol=1e-12
+    )
+    np.testing.assert_allclose(res.mse_theory, theory, rtol=1e-12)
+    assert res.auto_mse == pytest.approx(float(np.mean(auto)), rel=1e-12)
+
+
+def test_additive_run_matches_per_trial_reference():
+    model = small_model()
+    spec = ExperimentSpec(model=model, family="rrls", trials=300, seed=41)
+    res = run(spec)
+    p, x, sigma2 = model.p, model.x, model.sigma2
+    ranks = np.arange(1, p + 1)
+    U = svd(model.H).U
+    counts = np.zeros(p, dtype=np.int64)
+    sq, auto = [], []
+    for t in range(spec.trials):
+        y = sample_ls(model, spec.seed, t).y
+        basis = order_by_scores(U, y)
+        r_star = select_rank_ls(basis, sigma2, p).r_star
+        counts[r_star - 1] += 1
+        errs = [ls_reduced(basis, y, r) - x for r in ranks]
+        sq.append([float(e @ e) for e in errs])
+        auto.append(sq[-1][r_star - 1])
+    theory = _tails(order_by_scores(U, x).scores) + ranks * sigma2
+    _assert_matches_reference(res, counts, {}, sq, auto, theory)
+
+
+def test_errors_in_variables_run_matches_per_trial_reference(monkeypatch):
+    solve = _flaky(harness_mod.tls_solve)
+    monkeypatch.setattr(harness_mod, "tls_solve", solve)
+    model = tls_model(sigma2=0.09)
+    spec = ExperimentSpec(model=model, family="rrtls", trials=300, seed=43)
+    res = run(spec)
+    p, x, sigma2, t_val = model.p, model.x, model.sigma2, model.theta_norm2
+    ranks = np.arange(1, p + 1)
+    counts = np.zeros(p, dtype=np.int64)
+    alt_counts = np.zeros(p, dtype=np.int64)
+    failures = {}
+    sq, auto, theory = [], [], []
+    for t in range(spec.trials):
+        front = _replay_tls_front(model, spec.seed, t, solve, failures)
+        if front is None:
+            continue
+        y, est, basis, scores = front
+        q_star = q_objective(scores, sigma2, p, t_val, "oracle").q_star
+        counts[q_star - 1] += 1
+        alt_counts[int(np.argmin(q_objective_bias_recipe(scores, sigma2, p, t_val)))] += 1
+        errs = [tls_reduced(basis, y, q) - x for q in ranks]
+        sq.append([float(e @ e) for e in errs])
+        auto.append(sq[-1][q_star - 1])
+        d = np.append(basis.columns.T @ x, est.discarded_column @ x)
+        theory.append(_tails(d * d)[:p] + ranks * sigma2)
+    assert failures.get("nonunique-tls", 0) > 0
+    _assert_matches_reference(res, counts, failures, sq, auto, np.mean(theory, axis=0))
+    assert np.array_equal(res.sel_freq_alt, alt_counts / len(sq))
+
+
+def test_selection_comparison_matches_per_trial_reference(monkeypatch):
+    solve = _flaky(harness_mod.tls_solve)
+    monkeypatch.setattr(harness_mod, "tls_solve", solve)
+    model = tls_model(sigma2=0.25, seed=31)
+    spec = ExperimentSpec(model=model, family="rrtls", trials=200, seed=31)
+    grid = [0.0, 1.0, 30.0]
+    comp = compare_selection_rules(spec, grid)
+    p, sigma2 = model.p, model.sigma2
+    counts = np.zeros((len(grid), p), dtype=np.int64)
+    counts_alt = np.zeros_like(counts)
+    failures = {}
+    witness = None
+    for t in range(spec.trials):
+        front = _replay_tls_front(model, spec.seed, t, solve, failures)
+        if front is None:
+            continue
+        scores = front[3]
+        q = [q_objective(scores, sigma2, p, g, "oracle").q_star for g in grid]
+        for i, g in enumerate(grid):
+            counts[i, q[i] - 1] += 1
+            counts_alt[i, int(np.argmin(q_objective_bias_recipe(scores, sigma2, p, g)))] += 1
+        moved = [i for i in range(len(grid)) if q[i] != q[0]]
+        if witness is None and moved:
+            i = moved[0]
+            witness = {"trial": t, "t1": grid[0], "t2": grid[i], "q1": q[0], "q2": q[i]}
+    completed = spec.trials - sum(failures.values())
+    assert failures.get("nonunique-tls", 0) > 0 and witness is not None
+    assert comp.completed == completed
+    assert comp.failures == failures
+    assert np.array_equal(comp.q_star_freq, counts / completed)
+    assert np.array_equal(comp.q_star_freq_alt, counts_alt / completed)
+    assert comp.witness == witness
