@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -53,10 +54,15 @@ from .tls import augmented_scores, q_objective, tls_solve
 # Strict config parsing
 # ---------------------------------------------------------------------------
 
+def _reject_constant(name: str):
+    # Python's json accepts NaN/Infinity/-Infinity; strict JSON does not.
+    raise ConfigError(f"{name} is not a JSON number")
+
+
 def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_constant)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
@@ -80,6 +86,8 @@ def _number(cfg, key, context: str, minimum=None) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{context}.{key} must be a number")
     v = float(v)
+    if not math.isfinite(v):
+        raise ConfigError(f"{context}.{key} must be finite, got {v}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{context}.{key} must be >= {minimum}")
     return v
@@ -103,14 +111,15 @@ def _rank_policy(cfg: dict, key: str, context: str):
     return v
 
 
+def _numbers(values: list, context: str, minimum=None) -> np.ndarray:
+    return np.array([_number(values, i, context, minimum) for i in range(len(values))])
+
+
 def _theta(value, context: str) -> np.ndarray:
     if isinstance(value, str):
         return read_vector(value)
     if isinstance(value, list):
-        try:
-            return np.array([float(v) for v in value], dtype=float)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"{context}.theta must hold numbers") from err
+        return _numbers(value, f"{context}.theta")
     raise ConfigError(f"{context}.theta must be a list of numbers or a file path")
 
 
@@ -141,7 +150,9 @@ def _build_model(cfg: dict, seed: int) -> MeasurementModel:
         spectrum = cfg["spectrum"]
         if not isinstance(spectrum, list) or not spectrum:
             raise ConfigError("model.spectrum must be a non-empty list of numbers")
-        return spectrum_model(N=N, spectrum=spectrum, theta=theta, sigma2=sigma2, seed=seed)
+        return spectrum_model(
+            N=N, spectrum=_numbers(spectrum, "model.spectrum"), theta=theta, sigma2=sigma2, seed=seed
+        )
     raise ConfigError(f"model.kind must be explicit, gaussian or spectrum, got {kind!r}")
 
 
@@ -319,9 +330,7 @@ def cmd_sweep(args) -> int:
         grid = cfg["grid"]
         if not isinstance(grid, list) or not grid:
             raise ConfigError("config.grid must be a non-empty list of numbers")
-        comp = compare_selection_rules(
-            spec, [_number(grid, i, "config.grid", minimum=0.0) for i in range(len(grid))]
-        )
+        comp = compare_selection_rules(spec, _numbers(grid, "config.grid", minimum=0.0))
         doc = {
             "family": family,
             "trials": trials,

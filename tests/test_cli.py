@@ -380,3 +380,72 @@ def test_verify_failing_criterion_exits_1(monkeypatch):
 
     monkeypatch.setattr(rrtls.acceptance, "run_all", fake_run_all)
     assert main(["verify"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers and non-numeric entries fail before the first trial
+# ---------------------------------------------------------------------------
+
+TLS_SWEEP = {
+    "family": "rrtls",
+    "model": {"kind": "gaussian", "N": 16, "p": 4, "theta": [0.6, -0.3, 0.2, 0.5], "sigma2": 0.25},
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, literal, message",
+    [
+        ({"model": {**TLS_SWEEP["model"], "sigma2": "@"}, "family": "rrls"}, "NaN",
+         "NaN is not a JSON number"),
+        ({"model": {**TLS_SWEEP["model"], "theta": [0.6, "@", 0.2, 0.5]}, "family": "rrls"},
+         "Infinity", "Infinity is not a JSON number"),
+        ({**TLS_SWEEP, "tls_mode": {"mode": "bound", "bound": "@"}}, "-Infinity",
+         "-Infinity is not a JSON number"),
+        ({"model": {**TLS_SWEEP["model"], "sigma2": "@"}, "family": "rrls"}, "1e999",
+         "model.sigma2 must be finite"),
+        ({"model": {**TLS_SWEEP["model"], "theta": [0.6, 0.3, "@", 0.5]}, "family": "rrls"},
+         "-1e999", "model.theta.2 must be finite"),
+        ({**TLS_SWEEP, "tls_mode": {"mode": "bound", "bound": "@"}}, "1e999",
+         "tls_mode.bound must be finite"),
+        ({**TLS_SWEEP, "format": "json", "grid": [0.0, "@"]}, "1e999",
+         "config.grid.1 must be finite"),
+    ],
+    ids=["nan-literal", "infinity-literal", "minus-infinity-literal", "overflow-sigma2",
+         "overflow-theta", "overflow-bound", "overflow-grid"],
+)
+def test_sweep_rejects_non_finite_numbers(tmp_path, capsys, no_draws, cfg, literal, message):
+    text = json.dumps({"trials": 20, "seed": 3, **cfg}).replace('"@"', literal)
+    write_text(tmp_path / "sweep.json", text)
+    assert main(["sweep", "--config", str(tmp_path / "sweep.json")]) == 2
+    err = capsys.readouterr().err
+    assert "error: config:" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"kind": "gaussian", "N": 16, "p": 4, "theta": ["1", True, 0.25, 2.0], "sigma2": 0.25},
+         "model.theta.0 must be a number"),
+        ({"kind": "gaussian", "N": 16, "p": 4, "theta": [1.0, True, 0.25, 2.0], "sigma2": 0.25},
+         "model.theta.1 must be a number"),
+        ({"kind": "spectrum", "N": 16, "spectrum": ["2", True, 1.5, 1],
+          "theta": [1.0, -0.5, 0.25, 2.0], "sigma2": 0.25},
+         "model.spectrum.0 must be a number"),
+        ({"kind": "spectrum", "N": 16, "spectrum": [2, True, 1.5, 1],
+          "theta": [1.0, -0.5, 0.25, 2.0], "sigma2": 0.25},
+         "model.spectrum.1 must be a number"),
+    ],
+    ids=["theta-string", "theta-bool", "spectrum-string", "spectrum-bool"],
+)
+def test_sweep_rejects_non_numeric_model_entries(tmp_path, capsys, no_draws, model, message):
+    cfg = sweep_config(tmp_path, model=model)
+    assert main(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "error: config:" in err and message in err
+
+
+def test_sweep_accepts_numeric_spectrum(tmp_path):
+    model = {"kind": "spectrum", "N": 16, "spectrum": [2, 1.5, 1.25, 1],
+             "theta": [1.0, -0.5, 0.25, 2.0], "sigma2": 0.25}
+    cfg = sweep_config(tmp_path, model=model, trials=20)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 0

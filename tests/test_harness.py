@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rrtls.harness as harness_mod
 from rrtls import (
@@ -10,6 +12,7 @@ from rrtls import (
     RrtlsError,
     augmented_scores,
     compare_selection_rules,
+    gaussian_model,
     ls_reduced,
     order_by_scores,
     planted_model,
@@ -170,6 +173,26 @@ def test_vecstats_merge_matches_streaming():
     np.testing.assert_allclose(left.m4, whole.m4, rtol=1e-9)
     np.testing.assert_allclose(whole.mean, xs.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(whole.variance(), xs.var(axis=0, ddof=1), rtol=1e-10)
+
+
+def test_block_moments_merge_like_streaming():
+    rng = np.random.default_rng(57)
+    xs = rng.standard_normal((1000, 3)) ** 2
+    xs[:, 1] = 0.16  # a constant column keeps an exact mean and zero spread
+    whole = VecStats((3,))
+    for x in xs:
+        whole.add(x)
+    merged = VecStats((3,))
+    for start in range(0, 1000, 128):
+        merged.merge(VecStats.from_block(xs[start:start + 128]))
+    merged.merge(VecStats.from_block(np.empty((0, 3))))
+    assert merged.n == 1000
+    np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12)
+    np.testing.assert_allclose(merged.m2, whole.m2, rtol=1e-10)
+    np.testing.assert_allclose(merged.m3, whole.m3, rtol=1e-9, atol=1e-9 * whole.m2.max())
+    np.testing.assert_allclose(merged.m4, whole.m4, rtol=1e-9)
+    assert merged.mean[1] == 0.16
+    assert merged.m2[1] == merged.m3[1] == merged.m4[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -383,3 +406,209 @@ def test_selection_comparison_matches_per_trial_reference(monkeypatch):
     assert np.array_equal(comp.q_star_freq, counts / completed)
     assert np.array_equal(comp.q_star_freq_alt, counts_alt / completed)
     assert comp.witness == witness
+
+
+# ---------------------------------------------------------------------------
+# chunk boundaries: runs that span several chunks, edge shapes and kept rows,
+# against the same per-trial reference
+# ---------------------------------------------------------------------------
+
+def _additive_reference(spec):
+    """Replay an additive run trial by trial: selection counts and the
+    per-trial rows every aggregate is computed from."""
+    model = spec.model
+    p, x, sigma2 = model.p, model.x, model.sigma2
+    ranks = np.arange(1, p + 1)
+    U = svd(model.H).U
+    counts = np.zeros(p, dtype=np.int64)
+    sq, auto, risk, errors = [], [], [], []
+    for t in range(spec.trials):
+        y = sample_ls(model, spec.seed, t).y
+        basis = order_by_scores(U, y)
+        selection = select_rank_ls(basis, sigma2, p)
+        counts[selection.r_star - 1] += 1
+        errs = [ls_reduced(basis, y, r) - x for r in ranks]
+        sq.append([float(e @ e) for e in errs])
+        auto.append(sq[-1][selection.r_star - 1])
+        risk.append(selection.objective)
+        errors.append(errs[-1])
+    theory = _tails(order_by_scores(U, x).scores) + ranks * sigma2
+    return counts, np.array(sq), auto, np.array(risk), np.array(errors), theory
+
+
+def _assert_additive_matches_reference(res, spec):
+    """Counts exactly; means to rtol 1e-12.  Dispersion statistics get an
+    absolute floor of 1e-12 times the matching power of the mean: the
+    engine and the reference compute each trial's squared errors by
+    different sums, which agree to about 1e-15 of their size, and spreads
+    that are small against the mean magnify that difference."""
+    counts, sq, auto, risk, errors, theory = _additive_reference(spec)
+    model, n = spec.model, spec.trials
+    # Noiseless draws leave the full-rank arm at rounding level, which
+    # only an absolute scale can compare.
+    atol = 1e-12 * float(model.x @ model.x) if model.sigma2 == 0 else 0.0
+    mean = sq.mean(axis=0)
+    assert res.completed == n and res.failures == {}
+    assert np.array_equal(res.sel_freq, counts / n)
+    np.testing.assert_allclose(res.mse_emp, mean, rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(res.mse_theory, theory, rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(res.auto_mse, np.mean(auto), rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(res.risk_estimate_mean, risk.mean(axis=0), rtol=1e-12,
+                               atol=1e-12 * np.abs(risk).max())
+    se = sq.std(axis=0, ddof=1) / np.sqrt(n)
+    assert np.all(np.abs(res.mse_se - se) <= 1e-12 * (se + mean) + atol), (res.mse_se, se)
+    if model.sigma2 == 0:
+        assert res.moments is None
+        return sq, errors
+    norm = sq[:, -1] / model.sigma2
+    m, m2, m4 = norm.mean(), np.mean((norm - norm.mean()) ** 2), np.mean((norm - norm.mean()) ** 4)
+    np.testing.assert_allclose(res.moments.mean, m, rtol=1e-12)
+    np.testing.assert_allclose(res.moments.variance, norm.var(ddof=1), rtol=1e-12,
+                               atol=1e-12 * m * m)
+    # variance_se^2 * n = m4 - m2^2, compared before the square root
+    np.testing.assert_allclose(res.moments.variance_se**2 * n, max(m4 - m2 * m2, 0.0),
+                               rtol=1e-10, atol=1e-12 * m**4)
+    return sq, errors
+
+
+def _chunk(N):
+    return harness_mod._chunk_rows(N)
+
+
+@pytest.mark.parametrize(
+    "N, p, sigma2, trials",
+    [
+        (16, 4, 0.25, 2 * _chunk(16) + 1),
+        (8192, 3, 0.25, 2 * _chunk(8192) + 1),
+        (1, 1, 0.25, 300),
+        (5, 1, 0.25, 2 * _chunk(5) + 1),
+        (4, 4, 0.25, 300),
+        (16, 4, 0.0, 2 * _chunk(16) + 1),
+    ],
+    ids=["ragged-last-chunk", "large-N-small-chunks", "p1-N1", "p1-N5", "N-equals-p", "noiseless"],
+)
+def test_additive_chunks_match_per_trial_reference(N, p, sigma2, trials):
+    theta = np.linspace(1.0, -0.5, p)
+    model = gaussian_model(N=N, p=p, theta=theta, sigma2=sigma2, seed=N + p)
+    spec = ExperimentSpec(model=model, family="rrls", trials=trials, seed=47)
+    _assert_additive_matches_reference(run(spec), spec)
+
+
+def test_kept_rows_follow_trial_order_across_chunks():
+    N = 8192
+    model = gaussian_model(N=N, p=3, theta=[1.0, -0.5, 0.25], sigma2=0.25, seed=49)
+    trials = 2 * _chunk(N) + 3
+    spec = ExperimentSpec(model=model, family="rrls", trials=trials, seed=49,
+                          keep_samples=True, keep_errors=True)
+    res = run(spec)
+    sq, errors = _assert_additive_matches_reference(res, spec)
+    assert res.raw_sq_err.shape == (trials, 3) and res.raw_errors.shape == (trials, N)
+    np.testing.assert_allclose(res.raw_sq_err, sq, rtol=1e-12)
+    np.testing.assert_allclose(res.raw_errors, errors, rtol=1e-9, atol=1e-12 * np.abs(model.x).max())
+
+
+def test_errors_in_variables_chunks_match_per_trial_reference(monkeypatch):
+    solve = _flaky(harness_mod.tls_solve)
+    monkeypatch.setattr(harness_mod, "tls_solve", solve)
+    N = 4096
+    model = gaussian_model(N=N, p=2, theta=[0.6, -0.8], sigma2=0.01, seed=51)
+    trials = 2 * _chunk(N) + 5
+    spec = ExperimentSpec(model=model, family="rrtls", trials=trials, seed=51, keep_samples=True)
+    res = run(spec)
+    p, x, sigma2, t_val = model.p, model.x, model.sigma2, model.theta_norm2
+    ranks = np.arange(1, p + 1)
+    counts = np.zeros(p, dtype=np.int64)
+    failures = {}
+    sq, auto, theory = [], [], []
+    for t in range(trials):
+        front = _replay_tls_front(model, spec.seed, t, solve, failures)
+        if front is None:
+            continue
+        y, est, basis, scores = front
+        q_star = q_objective(scores, sigma2, p, t_val, "oracle").q_star
+        counts[q_star - 1] += 1
+        errs = [tls_reduced(basis, y, q) - x for q in ranks]
+        sq.append([float(e @ e) for e in errs])
+        auto.append(sq[-1][q_star - 1])
+        d = np.append(basis.columns.T @ x, est.discarded_column @ x)
+        theory.append(_tails(d * d)[:p] + ranks * sigma2)
+    assert failures.get("nonunique-tls", 0) > 0
+    _assert_matches_reference(res, counts, failures, sq, auto, np.mean(theory, axis=0))
+    np.testing.assert_allclose(res.raw_sq_err, np.array(sq), rtol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    N=st.sampled_from([1, 2, 5, 16, 3000, 9000]),
+    p_draw=st.integers(1, 5),
+    sigma2=st.sampled_from([0.0, 0.01, 0.25, 4.0]),
+    trials=st.integers(2, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_additive_run_matches_reference_property(N, p_draw, sigma2, trials, seed):
+    p = min(p_draw, N)
+    model = gaussian_model(N=N, p=p, theta=np.linspace(2.0, -1.0, p), sigma2=sigma2, seed=seed)
+    spec = ExperimentSpec(model=model, family="rrls", trials=trials, seed=seed)
+    _assert_additive_matches_reference(run(spec), spec)
+
+
+# ---------------------------------------------------------------------------
+# draw hooks: every trial is drawn once, in trial order, through the
+# module-level sampling names
+# ---------------------------------------------------------------------------
+
+def _count_draws(monkeypatch, name):
+    calls = []
+    original = getattr(harness_mod, name)
+
+    def counted(model, seed, trial):
+        calls.append((seed, trial))
+        return original(model, seed, trial)
+
+    monkeypatch.setattr(harness_mod, name, counted)
+    return calls
+
+
+def test_additive_run_draws_each_trial_once_in_order(monkeypatch):
+    calls = _count_draws(monkeypatch, "sample_ls")
+    N = 8192
+    model = gaussian_model(N=N, p=2, theta=[1.0, 0.5], sigma2=0.25, seed=53)
+    trials = 2 * _chunk(N) + 1
+    run(ExperimentSpec(model=model, family="ls", trials=trials, seed=53))
+    assert calls == [(53, t) for t in range(trials)]
+
+
+@pytest.mark.parametrize("grid", [None, [0.0, 3.0]], ids=["run", "grid"])
+def test_errors_in_variables_draws_each_trial_once_in_order(monkeypatch, grid):
+    calls = _count_draws(monkeypatch, "sample_tls")
+    spec = ExperimentSpec(model=tls_model(), family="rrtls", trials=37, seed=55)
+    if grid is None:
+        run(spec)
+    else:
+        compare_selection_rules(spec, grid)
+    assert calls == [(55, t) for t in range(37)]
+
+
+# ---------------------------------------------------------------------------
+# invalid numbers fail before the first trial
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("trials", [True, 2.5, "3", None])
+def test_trials_must_be_an_integer(trials):
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        ExperimentSpec(model=small_model(), family="ls", trials=trials, seed=1)
+
+
+@pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+@pytest.mark.parametrize("tls_mode", ["bound", "oracle"])
+def test_bound_must_be_finite(bound, tls_mode):
+    with pytest.raises(ValueError, match="bound must be finite"):
+        ExperimentSpec(model=tls_model(), family="rrtls", trials=10, seed=1,
+                       tls_mode=tls_mode, bound=bound)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_comparison_rejects_non_finite_grid(no_draws, bad):
+    spec = ExperimentSpec(model=tls_model(), family="rrtls", trials=10, seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        compare_selection_rules(spec, [0.0, bad])

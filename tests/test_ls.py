@@ -260,3 +260,17 @@ def test_reduced_rank_dominance():
     res = run(spec)
     assert abs(res.mse_emp[1] - 2.0) <= 0.03 * 2.0
     assert res.mse_emp[1] < res.mse_emp[3]
+
+
+def test_tail_sums_and_risk_objective_work_row_wise():
+    from rrtls.ls import risk_objective, tail_sums
+
+    rng = np.random.default_rng(59)
+    block = np.sort(rng.standard_normal((7, 5)) ** 2, axis=1)[:, ::-1]
+    tails = tail_sums(block)
+    objective = risk_objective(block, 0.3)
+    for i, row in enumerate(block):
+        assert np.array_equal(tails[i], tail_sums(row))
+        np.testing.assert_allclose(tails[i], [row[j + 1:].sum() for j in range(5)], rtol=1e-14)
+        assert np.array_equal(objective[i], tail_sums(row) + 0.3 * (2 * np.arange(1, 6) - 5))
+    assert tail_sums(np.array([2.0])).tolist() == [0.0]

@@ -9,6 +9,7 @@ from rrtls import (
     sample_ls,
     sample_tls,
     spectrum_model,
+    trial_rng,
 )
 
 SEED = 20260808
@@ -181,3 +182,17 @@ def test_model_builders_are_deterministic():
     U, _, _ = np.linalg.svd(pm.H, full_matrices=False)
     scores = np.sort((U.T @ pm.x) ** 2)[::-1]
     np.testing.assert_allclose(scores, [9.0, 4.0, 1.0], atol=1e-20, rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20260808, 2**32 - 1, 2**32, 2**40 + 3])
+@pytest.mark.parametrize("trial", [0, 7, 2**32 - 1, 2**32])
+def test_trial_rng_stream_is_the_seed_sequence_of_seed_and_trial(seed, trial):
+    reference = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+    assert np.array_equal(trial_rng(seed, trial).standard_normal(9), reference.standard_normal(9))
+
+
+def test_trial_rng_rejects_negative_entropy():
+    with pytest.raises(ValueError):
+        trial_rng(1, -1)
+    with pytest.raises(ValueError):
+        trial_rng(-1, 0)
