@@ -102,6 +102,17 @@ def _integer(cfg: dict, key: str, context: str, minimum=None) -> int:
     return v
 
 
+def _seed_arg(text: str) -> int:
+    # argparse type of --seed; a rejection exits with status 2
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+
+
 def _rank_policy(cfg: dict, key: str, context: str):
     v = cfg.get(key, "auto")
     if v == "auto":
@@ -405,13 +416,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", help="Monte Carlo rank sweep / selection-rule grid")
     swp.add_argument("--config", required=True)
-    swp.add_argument("--seed", type=int, default=None)
+    swp.add_argument("--seed", type=_seed_arg, default=None)
     swp.add_argument("--out", default=None)
     swp.add_argument("--format", choices=("csv", "json"), default=None)
     swp.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify", help="run the acceptance suite")
-    ver.add_argument("--seed", type=int, default=None)
+    ver.add_argument("--seed", type=_seed_arg, default=None)
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
     return parser

@@ -5,9 +5,12 @@ The four estimator families are labels over two observation models:
 errors-in-variables realizations.  ``run`` walks the trials in fixed chunks
 of consecutive trial indices, each trial drawn from its own substream, and
 evaluates every rank arm of the observation model on the same realizations
-(paired-seed fairness).  Additive chunks are evaluated as stacked arrays;
-errors-in-variables trials are solved one by one and stacked.  Each chunk's
-central moments are merged into the run totals in chunk order.
+(paired-seed fairness).  A chunk is evaluated as stacked arrays: additive
+chunks as one (b, N) block of observations, errors-in-variables chunks as
+one (b, N, p + 1) block of augmented matrices factored and checked at once
+(``tls.tls_factor_stack``), with rejected trials counted per error code and
+dropped.  Each chunk's central moments are merged into the run totals in
+chunk order.
 ``verify_chi_square`` turns the normalized-squared-error moment claims into
 pass/fail reports, ``compare_selection_rules`` evaluates the rank selection
 of the reduced TLS hypothesis across a grid of parameter norms on identical
@@ -25,18 +28,23 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, RrtlsError
-# The per-trial functions below are looked up on this module at call time,
-# so callers can wrap them (bench/tracer.py, bench/probe.py);
-# ``select_rank_ls`` is kept importable here for that reason.
+from .errors import InsufficientDataError
+# The functions below are looked up on this module at call time, so
+# callers can wrap them (bench/tracer.py, bench/probe.py, the tests); the
+# per-trial ``select_rank_ls``, ``tls_solve``, ``augmented_scores``,
+# ``q_objective`` and ``q_objective_bias_recipe`` are kept importable here
+# for that reason.
 from .ls import risk_objective, select_rank_ls, tail_sums  # noqa: F401
 from .model import MeasurementModel, sample_ls, sample_tls, _aux_rng
-from .svdtools import order_by_scores, svd
-from .tls import (
+from .svdtools import check_orthonormal, order_by_scores, svd
+from .tls import (  # noqa: F401
+    _bias_recipe_values,
+    _q_values,
+    _tls_full_mse,
     augmented_scores,
-    mse_theoretical_tls_full,
     q_objective,
     q_objective_bias_recipe,
+    tls_factor_stack,
     tls_solve,
 )
 
@@ -185,6 +193,14 @@ class ExperimentSpec:
             raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        N, p = self.model.N, self.model.p
+        if self.observation == ERRORS_IN_VARIABLES and N < p + 1:
+            raise ValueError(
+                f"family {self.family!r} needs N >= p + 1 rows for the augmented "
+                f"matrix [H_tilde, y], got N={N}, p={p}"
+            )
         if self.tls_mode not in ("oracle", "bound"):
             raise ValueError(f"tls_mode must be 'oracle' or 'bound', got {self.tls_mode!r}")
         if self.bound is not None and not math.isfinite(self.bound):
@@ -277,11 +293,12 @@ class NormDependenceWitness:
 # Chunk evaluation
 # ---------------------------------------------------------------------------
 
-def _chunk_rows(N: int) -> int:
-    """Trials per chunk.  It depends on N alone (one (rows, N) block of draws
-    stays within 512 KiB), so the chunk boundaries, and with them the
+def _chunk_rows(draw_size: int) -> int:
+    """Trials per chunk, from the floats one trial draws alone (N for the
+    additive model, N (p + 1) for errors-in-variables): a stacked block of
+    draws stays within 512 KiB, and the chunk boundaries, and with them the
     aggregation order, are fixed by the model shape."""
-    return min(1024, max(1, 2**16 // N))
+    return min(1024, max(1, 2**16 // draw_size))
 
 
 def _stack(blocks) -> np.ndarray:
@@ -327,22 +344,37 @@ def _rank_sq_errors(diff: np.ndarray, d: np.ndarray, resid) -> np.ndarray:
     return np.cumsum(diff * diff, axis=-1) + tail_sums(d * d) + resid
 
 
-def _eiv_front(model: MeasurementModel, seed: int, trial: int,
-               failures: Dict[str, int]):
-    """Errors-in-variables trial up to the selection scores: sample, solve,
-    order the retained columns and append the discarded direction's score.
+def _eiv_kernel(spec: ExperimentSpec, start: int, stop: int, failures: Dict[str, int]):
+    """Trials ``[start, stop)`` of the errors-in-variables model up to the
+    selection scores, as stacked arrays: draw, factor and check, order.
 
-    Returns ``(y, estimate, basis, augmented scores)``, or ``None`` after
-    counting a solver failure under its error code.
+    Rejected trials are counted under their error code and dropped.  For
+    the solved trials, in trial order, returns ``(trials, U, core, coef,
+    order, scores)``: their indices; the left singular vectors of
+    ``[H_tilde, y]`` (b, N, p + 1), retained columns first and the
+    discarded one last; the cores ``U_s' H_tilde``; the coefficients
+    ``U'y``; the stable descending order of the retained scores (b, p);
+    and the augmented scores (b, p + 1), the ordered retained scores
+    followed by the discarded direction's.
     """
-    real = sample_tls(model, seed, trial)
-    try:
-        est = tls_solve(real.H_tilde, real.y)
-    except RrtlsError as err:
-        failures[err.code] = failures.get(err.code, 0) + 1
-        return None
-    basis = order_by_scores(est.retained_columns, real.y)
-    return real.y, est, basis, augmented_scores(basis, est.discarded_column, real.y)
+    model = spec.model
+    p = model.p
+    A = np.empty((stop - start, model.N, p + 1))
+    for i, trial in enumerate(range(start, stop)):
+        real = sample_tls(model, spec.seed, trial)
+        A[i, :, :p] = real.H_tilde
+        A[i, :, p] = real.y
+    U, core, codes = tls_factor_stack(A)
+    solved = codes == ""
+    for code, n in zip(*np.unique(codes[~solved], return_counts=True)):
+        failures[str(code)] = failures.get(str(code), 0) + int(n)
+    U, core = U[solved], core[solved]
+    check_orthonormal(U[..., :p])
+    coef = (A[solved, None, :, p] @ U)[:, 0]
+    scores = coef * coef
+    order = np.argsort(-scores[:, :p], axis=1, kind="stable")
+    scores[:, :p] = np.take_along_axis(scores[:, :p], order, axis=1)
+    return start + np.flatnonzero(solved), U, core, coef, order, scores
 
 
 def _additive_chunk(spec: ExperimentSpec, U: np.ndarray, d: np.ndarray, resid: float,
@@ -374,39 +406,32 @@ def _additive_chunk(spec: ExperimentSpec, U: np.ndarray, d: np.ndarray, resid: f
 
 
 def _eiv_chunk(spec: ExperimentSpec, start: int, stop: int, acc: _Accumulator) -> None:
-    """Trials ``[start, stop)`` of the errors-in-variables model: each trial
-    is sampled, solved and ordered on its own (``_eiv_front``), and the rows
-    of the completed trials are stacked into one block."""
+    """Trials ``[start, stop)`` of the errors-in-variables model as stacked
+    arrays (``_eiv_kernel``).  The per-rank errors, selections and theory
+    column come out row-wise from the coefficients of y and x on each
+    trial's ordered retained columns; the corrected signal is
+    ``U_s (core theta)``."""
     model = spec.model
-    p, x = model.p, model.x
+    p, x, sigma2 = model.p, model.x, model.sigma2
     t_val = model.theta_norm2 if spec.tls_mode == "oracle" else float(spec.bound)
-    ranks = np.arange(1, p + 1)
-    rows, errors = [], []
-    for trial in range(start, stop):
-        front = _eiv_front(model, spec.seed, trial, acc.failures)
-        if front is None:
-            continue
-        y, est, basis, scores_aug = front
-        cols = basis.columns
-        c = cols.T @ y
-        d = cols.T @ x
-        rho = x - cols @ d
-        qobj = q_objective(scores_aug, model.sigma2, p, t_val, spec.tls_mode)
-        alt_values = q_objective_bias_recipe(scores_aug, model.sigma2, p, t_val)
-        d_aug = np.append(d, float(est.discarded_column @ x))
-        theory = tail_sums(d_aug * d_aug)[:p] + ranks * model.sigma2
-        rows.append((c - d, d, float(rho @ rho), qobj.q_star - 1, int(np.argmin(alt_values)),
-                     theory, mse_theoretical_tls_full(model, est)))
-        if acc.errors is not None:
-            errors.append(cols @ c - x)
-    if not rows:
+    _, U, core, coef, order, scores = _eiv_kernel(spec, start, stop, acc.failures)
+    if not coef.shape[0]:
         return
-    diff, d, resid, q_index, alt_index, theory, formula = (np.array(col) for col in zip(*rows))
-    sq = _rank_sq_errors(diff, d, resid[:, None])
+    Us = U[..., :p]
+    coef_x = x @ U
+    d = np.take_along_axis(coef_x[:, :p], order, axis=1)
+    diff = np.take_along_axis(coef[:, :p], order, axis=1) - d
+    rho = x - (Us @ coef_x[:, :p, None])[..., 0]
+    sq = _rank_sq_errors(diff, d, np.sum(rho * rho, axis=1)[:, None])
+    d_aug = np.concatenate([d, coef_x[:, p:]], axis=1)
+    theory = tail_sums(d_aug * d_aug)[:, :p] + np.arange(1, p + 1) * sigma2
+    formula = _tls_full_mse(model, (Us @ (core @ model.theta)[..., None])[..., 0])
+    q_index = np.argmin(_q_values(scores, sigma2, p, t_val), axis=1)
     acc.add_chunk(sq, q_index, theory=theory, formula_full=formula)
+    alt_index = np.argmin(_bias_recipe_values(scores, sigma2, p, t_val), axis=1)
     acc.alt_counts += np.bincount(alt_index, minlength=p)
     if acc.errors is not None:
-        acc.errors.append(np.array(errors))
+        acc.errors.append((Us @ coef[:, :p, None])[..., 0] - x)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +442,11 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     """Execute the Monte Carlo experiment.
 
     Trials run in order, in chunks of consecutive trial indices
-    ``[start, stop)`` whose size the engine fixes from ``N`` alone; each
-    chunk's moments are merged into the totals in chunk order, so a seed
-    fixes every aggregate bit for bit.  Kept per-trial rows
+    ``[start, stop)`` whose size the engine fixes from the per-trial draw
+    size alone (``N`` floats for the additive model, ``N (p + 1)`` for
+    errors-in-variables), and each chunk is evaluated as stacked arrays;
+    each chunk's moments are merged into the totals in chunk order, so a
+    seed fixes every aggregate bit for bit.  Kept per-trial rows
     (``keep_samples``/``keep_errors``) come back in trial order.
 
     Per-trial estimator failures (e.g. TLS nonuniqueness) are counted per
@@ -430,6 +457,7 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     eiv = spec.observation == ERRORS_IN_VARIABLES
     if eiv:
         chunk = partial(_eiv_chunk, spec)
+        rows = _chunk_rows(model.N * (p + 1))
     else:
         U = svd(model.H).U
         # Also checks that U is orthonormal, once for the whole run.
@@ -438,8 +466,8 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         d = U.T @ model.x
         rho = model.x - U @ d
         chunk = partial(_additive_chunk, spec, U, d, float(rho @ rho))
+        rows = _chunk_rows(model.N)
     acc = _Accumulator(p, spec.keep_samples, spec.keep_errors)
-    rows = _chunk_rows(model.N)
     for start in range(0, spec.trials, rows):
         chunk(start, min(start + rows, spec.trials), acc)
 
@@ -539,8 +567,12 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
     """Evaluate the reduced-TLS rank selection across a grid of parameter
     norms on identical realizations.
 
+    Runs on the engine's stacked errors-in-variables kernel, chunk by
+    chunk, and evaluates both rank rules for the whole grid at once.
     Flags theta dependence when any realization selects different ranks at
-    two grid points; the sigma2 = 0 case is provably grid-invariant (the
+    two grid points (the witness is the first such trial, in trial order,
+    and its first grid value whose selection differs from the first
+    one's); the sigma2 = 0 case is provably grid-invariant (the
     objective is then a positive multiple of a norm-free tail sum).
     """
     if spec.family != "rrtls":
@@ -554,33 +586,35 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
         raise ValueError("grid values are squared norms and must be >= 0")
     model = spec.model
     p = model.p
-    counts = np.zeros((grid_arr.shape[0], p), dtype=np.int64)
+    G = grid_arr.shape[0]
+    counts = np.zeros((G, p), dtype=np.int64)
     counts_alt = np.zeros_like(counts)
     failures: Dict[str, int] = {}
     witness = None
     completed = 0
-    for t in range(spec.trials):
-        front = _eiv_front(model, spec.seed, t, failures)
-        if front is None:
-            continue
-        completed += 1
-        scores_aug = front[3]
-        q_stars = np.empty(grid_arr.shape[0], dtype=int)
-        for i, t_val in enumerate(grid_arr):
-            q_stars[i] = q_objective(scores_aug, model.sigma2, p, t_val, "oracle").q_star
-            counts[i, q_stars[i] - 1] += 1
-            alt = q_objective_bias_recipe(scores_aug, model.sigma2, p, t_val)
-            counts_alt[i, int(np.argmin(alt))] += 1
+    rows = _chunk_rows(model.N * (p + 1))
+    t = grid_arr[:, None, None]
+    for start in range(0, spec.trials, rows):
+        trials, *_, scores = _eiv_kernel(spec, start, min(start + rows, spec.trials), failures)
+        completed += trials.shape[0]
+        # (G, b) selected rank indices: every grid value on every trial
+        q_index = np.argmin(_q_values(scores, model.sigma2, p, t), axis=-1)
+        alt_index = np.argmin(_bias_recipe_values(scores, model.sigma2, p, t), axis=-1)
+        for i in range(G):
+            counts[i] += np.bincount(q_index[i], minlength=p)
+            counts_alt[i] += np.bincount(alt_index[i], minlength=p)
         if witness is None:
-            moved = np.nonzero(q_stars != q_stars[0])[0]
-            if moved.size:
-                i = int(moved[0])
+            moved = q_index != q_index[0]
+            movers = np.flatnonzero(moved.any(axis=0))
+            if movers.size:
+                j = movers[0]
+                i = int(np.argmax(moved[:, j]))
                 witness = {
-                    "trial": t,
+                    "trial": int(trials[j]),
                     "t1": float(grid_arr[0]),
                     "t2": float(grid_arr[i]),
-                    "q1": int(q_stars[0]),
-                    "q2": int(q_stars[i]),
+                    "q1": int(q_index[0, j]) + 1,
+                    "q2": int(q_index[i, j]) + 1,
                 }
     freq = counts / completed if completed else np.zeros_like(counts, dtype=float)
     freq_alt = counts_alt / completed if completed else np.zeros_like(counts, dtype=float)

@@ -81,6 +81,17 @@ def svd(M) -> SvdFactorization:
     return SvdFactorization(U=U * flip, S=S, V=V * flip)
 
 
+def check_orthonormal(U) -> None:
+    """Raise ``ValueError`` unless the columns of U, or of every matrix of
+    a (b, N, k) stack, are orthonormal to ``ORTHO_TOL``."""
+    gram = np.swapaxes(U, -1, -2) @ U
+    gram_err = np.max(np.abs(gram - np.eye(U.shape[-1])), initial=0.0)
+    if gram_err > ORTHO_TOL:
+        raise ValueError(
+            f"columns of U are not orthonormal (max Gram deviation {gram_err:.3e})"
+        )
+
+
 def order_by_scores(U, y) -> OrderedBasis:
     """Sort orthonormal columns of U by descending squared product with y.
 
@@ -92,12 +103,7 @@ def order_by_scores(U, y) -> OrderedBasis:
         raise ValueError(
             f"dimension mismatch: U is {U.shape}, y has length {y.shape[0]}"
         )
-    k = U.shape[1]
-    gram_err = np.max(np.abs(U.T @ U - np.eye(k)))
-    if gram_err > ORTHO_TOL:
-        raise ValueError(
-            f"columns of U are not orthonormal (max Gram deviation {gram_err:.3e})"
-        )
+    check_orthonormal(U)
     proj = U.T @ y
     scores = proj * proj
     perm = np.argsort(-scores, kind="stable")

@@ -100,6 +100,24 @@ class NormDependenceCertificate:
         object.__setattr__(self, "q_stars", _frozen_array(self.q_stars, dtype=int))
 
 
+def _rejection_codes(S, core_svals, gap_rtol: float, degeneracy_rtol: float) -> np.ndarray:
+    """Error code of each TLS problem, ``""`` when it has a unique,
+    nondegenerate solution, elementwise over stacked problems.
+
+    ``S`` (..., p + 1) are the singular values of the augmented matrix
+    ``[H_tilde, y]`` and ``core_svals`` (..., p) those of the core
+    ``U_s' H_tilde``.  The solution is unique when ``sigma_p > sigma_{p+1}``
+    (judged relative to the largest singular value) and yields a parameter
+    estimate when the core is nonsingular (Golub & Van Loan, SIAM J. Numer.
+    Anal. 17, 1980); a problem failing both is nonunique.
+    """
+    p = S.shape[-1] - 1
+    nonunique = S[..., p - 1] - S[..., p] <= gap_rtol * S[..., 0]
+    degenerate = core_svals[..., -1] <= degeneracy_rtol * np.maximum(core_svals[..., 0], 1.0)
+    return np.where(nonunique, NonUniqueTlsError.code,
+                    np.where(degenerate, DegenerateSolutionError.code, ""))
+
+
 def tls_solve(
     H_tilde,
     y,
@@ -138,15 +156,16 @@ def tls_solve(
         raise ValueError(f"need N >= p + 1 rows, got N={N}, p={p}")
     f = svd(np.hstack([H_tilde, y[:, None]]))
     gap = float(f.S[p - 1] - f.S[p])
-    if gap <= gap_rtol * f.S[0]:
+    Us = f.U[:, :p]
+    core = Us.T @ H_tilde
+    core_svals = np.linalg.svd(core, compute_uv=False)
+    code = _rejection_codes(f.S, core_svals, gap_rtol, degeneracy_rtol)
+    if code == NonUniqueTlsError.code:
         raise NonUniqueTlsError(
             f"no strictly smallest singular value: gap {gap:.6e} <= "
             f"{gap_rtol:g} * {f.S[0]:.6e}"
         )
-    Us = f.U[:, :p]
-    core = Us.T @ H_tilde
-    core_svals = np.linalg.svd(core, compute_uv=False)
-    if core_svals[-1] <= degeneracy_rtol * max(core_svals[0], 1.0):
+    if code == DegenerateSolutionError.code:
         raise DegenerateSolutionError(
             f"corrected system matrix is rank deficient: smallest singular "
             f"value {core_svals[-1]:.6e}"
@@ -162,6 +181,32 @@ def tls_solve(
         augmented_svd=f,
         singular_gap=gap,
     )
+
+
+def tls_factor_stack(
+    A,
+    gap_rtol: float = DEFAULT_GAP_RTOL,
+    degeneracy_rtol: float = DEFAULT_DEGENERACY_RTOL,
+):
+    """Factor and check a stack of TLS problems at once.
+
+    ``A`` (b, N, p + 1) stacks the augmented matrices ``[H_tilde, y]``.
+    Returns ``(U, core, codes)``: the thin left singular vectors of each
+    matrix (b, N, p + 1), retained columns first and the discarded one
+    last, with no sign convention (every consumer is sign invariant); the
+    cores ``U_s' H_tilde`` (b, p, p); and per row the code of the error
+    :func:`tls_solve` raises on that problem, ``""`` for a solved row.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 3 or A.shape[1] < A.shape[2]:
+        raise ValueError(f"expected a (b, N, p + 1) stack with N >= p + 1, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix entries must be finite")
+    p = A.shape[2] - 1
+    U, S, _ = np.linalg.svd(A, full_matrices=False)
+    core = np.swapaxes(U[..., :p], 1, 2) @ A[..., :p]
+    codes = _rejection_codes(S, np.linalg.svd(core, compute_uv=False), gap_rtol, degeneracy_rtol)
+    return U, core, codes
 
 
 def tls_objective(theta, H_tilde, y) -> float:
@@ -188,8 +233,13 @@ def mse_theoretical_tls_full(model: MeasurementModel, estimate: TlsEstimate) -> 
     Monte Carlo mean squared error is therefore only approximate (the
     harness reports both).
     """
-    d = estimate.H_corrected @ model.theta - model.x
-    return float(d @ d) + model.sigma2 * (1.0 + model.theta_norm2) * model.p
+    return float(_tls_full_mse(model, estimate.H_corrected @ model.theta))
+
+
+def _tls_full_mse(model: MeasurementModel, corrected_signal) -> np.ndarray:
+    # mse_theoretical_tls_full along the last axis of H_corrected @ theta.
+    d = corrected_signal - model.x
+    return np.sum(d * d, axis=-1) + model.sigma2 * (1.0 + model.theta_norm2) * model.p
 
 
 def augmented_scores(basis: OrderedBasis, u_s, y) -> np.ndarray:
@@ -221,9 +271,7 @@ def q_objective(scores, sigma2: float, p: int, theta_norm2: float, mode: str) ->
         raise ValueError(f"mode must be one of {Q_MODES}, got {mode!r}")
     if not np.isfinite(theta_norm2) or theta_norm2 < 0:
         raise ValueError(f"theta_norm2 must be >= 0, got {theta_norm2}")
-    t = float(theta_norm2)
-    q = np.arange(1, p + 1)
-    values = (tail_sums(scores)[:p] + sigma2 * (1.0 + t) * (2 * q + p)) / (1.0 + t)
+    values = _q_values(scores, sigma2, p, float(theta_norm2))
     q_star = int(np.argmin(values)) + 1
     return QObjective(values=values, q_star=q_star, mode=mode, scores=scores)
 
@@ -242,9 +290,21 @@ def q_objective_bias_recipe(scores, sigma2: float, p: int, theta_norm2: float) -
     scores = np.asarray(scores, dtype=float).reshape(-1)
     if scores.shape[0] != p + 1:
         raise ValueError(f"expected p + 1 = {p + 1} scores, got {scores.shape[0]}")
-    t = float(theta_norm2)
+    return _bias_recipe_values(scores, sigma2, p, float(theta_norm2))
+
+
+# The two rank objectives along the last axis of augmented scores
+# (..., p + 1); the parameter norm t broadcasts against the leading axes,
+# so a (G, 1, 1) grid of norms over (b, p + 1) scores gives (G, b, p).
+
+def _q_values(scores, sigma2: float, p: int, t):
     q = np.arange(1, p + 1)
-    return tail_sums(scores)[:p] + sigma2 * (1.0 + t) * (2 * q - (p + 1))
+    return (tail_sums(scores)[..., :p] + sigma2 * (1.0 + t) * (2 * q + p)) / (1.0 + t)
+
+
+def _bias_recipe_values(scores, sigma2: float, p: int, t):
+    q = np.arange(1, p + 1)
+    return tail_sums(scores)[..., :p] + sigma2 * (1.0 + t) * (2 * q - (p + 1))
 
 
 def norm_dependence_certificate(theta_norm2_grid: Sequence[float], scores, sigma2: float, p: int) -> NormDependenceCertificate:

@@ -449,3 +449,33 @@ def test_sweep_accepts_numeric_spectrum(tmp_path):
              "theta": [1.0, -0.5, 0.25, 2.0], "sigma2": 0.25}
     cfg = sweep_config(tmp_path, model=model, trials=20)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# seeds and errors-in-variables shapes are checked before the first trial
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_sweep_rejects_invalid_seed(tmp_path, capsys, no_draws, seed):
+    cfg = write_config(tmp_path / "sweep.json", {"trials": 20, "seed": 3, **TLS_SWEEP})
+    assert main(["sweep", "--config", cfg, "--seed", seed]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_verify_rejects_negative_seed(monkeypatch, capsys):
+    def refuse(seed):
+        raise AssertionError("the acceptance suite ran")
+
+    monkeypatch.setattr(rrtls.acceptance, "run_all", refuse)
+    assert main(["verify", "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [{}, {"format": "json", "grid": [0.0, 1.0]}],
+                         ids=["run", "grid"])
+def test_sweep_rejects_errors_in_variables_without_spare_row(tmp_path, capsys, no_draws, extra):
+    model = {"kind": "gaussian", "N": 4, "p": 4, "theta": [0.6, -0.3, 0.2, 0.5], "sigma2": 0.25}
+    cfg = write_config(tmp_path / "sweep.json",
+                       {"family": "rrtls", "trials": 20, "seed": 3, "model": model, **extra})
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "needs N >= p + 1 rows" in capsys.readouterr().err

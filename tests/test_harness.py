@@ -24,11 +24,14 @@ from rrtls import (
     search_norm_dependence_witness,
     norm_dependence_certificate,
     select_rank_ls,
+    mse_theoretical_tls_full,
     svd,
     tls_reduced,
+    tls_solve,
     verify_chi_square,
 )
 from rrtls.harness import VecStats
+from rrtls.tls import tls_factor_stack
 
 SEED = 606060
 
@@ -135,19 +138,16 @@ def test_rank_policy_validation():
 
 
 def test_failures_are_counted_not_imputed(monkeypatch):
-    import rrtls.harness as harness_mod
-    from rrtls.errors import NonUniqueTlsError
+    real_factor = harness_mod.tls_factor_stack
 
-    real_solve = harness_mod.tls_solve
-
-    def flaky_solve(H_tilde, y, **kwargs):
+    def flaky_factor(A, **kwargs):
         # deterministic failure injection: the error path is measure-zero
         # under generic sampling, so force it for odd-sum observations
-        if int(np.floor(abs(y[0]) * 1e6)) % 2 == 1:
-            raise NonUniqueTlsError("injected")
-        return real_solve(H_tilde, y, **kwargs)
+        U, core, codes = real_factor(A, **kwargs)
+        injected = np.floor(np.abs(A[:, 0, -1]) * 1e6) % 2 == 1
+        return U, core, np.where(injected, NonUniqueTlsError.code, codes)
 
-    monkeypatch.setattr(harness_mod, "tls_solve", flaky_solve)
+    monkeypatch.setattr(harness_mod, "tls_factor_stack", flaky_factor)
     spec = ExperimentSpec(model=tls_model(), family="tls", trials=100, seed=35)
     res = run(spec)
     assert res.failures.get("nonunique-tls", 0) > 0
@@ -288,14 +288,30 @@ def _tails(v):
     return np.append(suffix[1:], 0.0)
 
 
+# Deterministic failure injection, so that failure counting is replayed
+# too: a trial whose y[0] has floor(|y[0]| 1e6) % 5 == 0 is rejected as
+# nonunique, per trial on the reference side (``_flaky``) and per row of
+# the engine's stacked solver (``_inject_flaky_stack``).
+
 def _flaky(solve):
-    # deterministic failure injection so that failure counting is replayed too
     def flaky_solve(H_tilde, y, **kwargs):
         if int(np.floor(abs(y[0]) * 1e6)) % 5 == 0:
             raise NonUniqueTlsError("injected")
         return solve(H_tilde, y, **kwargs)
 
     return flaky_solve
+
+
+def _inject_flaky_stack(monkeypatch):
+    factor = harness_mod.tls_factor_stack
+
+    def flaky_factor(A, **kwargs):
+        U, core, codes = factor(A, **kwargs)
+        injected = np.floor(np.abs(A[:, 0, -1]) * 1e6) % 5 == 0
+        return U, core, np.where(injected, NonUniqueTlsError.code, codes)
+
+    monkeypatch.setattr(harness_mod, "tls_factor_stack", flaky_factor)
+    return _flaky(tls_solve)
 
 
 def _replay_tls_front(model, seed, trial, solve, failures):
@@ -345,8 +361,7 @@ def test_additive_run_matches_per_trial_reference():
 
 
 def test_errors_in_variables_run_matches_per_trial_reference(monkeypatch):
-    solve = _flaky(harness_mod.tls_solve)
-    monkeypatch.setattr(harness_mod, "tls_solve", solve)
+    solve = _inject_flaky_stack(monkeypatch)
     model = tls_model(sigma2=0.09)
     spec = ExperimentSpec(model=model, family="rrtls", trials=300, seed=43)
     res = run(spec)
@@ -375,8 +390,7 @@ def test_errors_in_variables_run_matches_per_trial_reference(monkeypatch):
 
 
 def test_selection_comparison_matches_per_trial_reference(monkeypatch):
-    solve = _flaky(harness_mod.tls_solve)
-    monkeypatch.setattr(harness_mod, "tls_solve", solve)
+    solve = _inject_flaky_stack(monkeypatch)
     model = tls_model(sigma2=0.25, seed=31)
     spec = ExperimentSpec(model=model, family="rrtls", trials=200, seed=31)
     grid = [0.0, 1.0, 30.0]
@@ -508,8 +522,7 @@ def test_kept_rows_follow_trial_order_across_chunks():
 
 
 def test_errors_in_variables_chunks_match_per_trial_reference(monkeypatch):
-    solve = _flaky(harness_mod.tls_solve)
-    monkeypatch.setattr(harness_mod, "tls_solve", solve)
+    solve = _inject_flaky_stack(monkeypatch)
     N = 4096
     model = gaussian_model(N=N, p=2, theta=[0.6, -0.8], sigma2=0.01, seed=51)
     trials = 2 * _chunk(N) + 5
@@ -550,6 +563,167 @@ def test_additive_run_matches_reference_property(N, p_draw, sigma2, trials, seed
     model = gaussian_model(N=N, p=p, theta=np.linspace(2.0, -1.0, p), sigma2=sigma2, seed=seed)
     spec = ExperimentSpec(model=model, family="rrls", trials=trials, seed=seed)
     _assert_additive_matches_reference(run(spec), spec)
+
+
+# ---------------------------------------------------------------------------
+# the stacked errors-in-variables kernel against per-trial tls_solve
+# ---------------------------------------------------------------------------
+
+def _tls_rows():
+    """Augmented matrices [H_tilde, y] (N=4, p=2): generic rows, a tied
+    smallest singular pair, a singular core, and both at once."""
+    rng = np.random.default_rng(61)
+    rows = list(rng.standard_normal((3, 4, 3)))
+    tie = np.zeros((4, 3))
+    tie[0, 0], tie[1, 1], tie[2, 2] = 2.0, 1.0, 1.0  # singular values (2, 1, 1)
+    singular_core = np.zeros((4, 3))
+    singular_core[0, 0], singular_core[1, 2] = 1.0, 1.0  # H_tilde's second column is zero
+    both = np.zeros((4, 3))
+    both[0, 0] = 1.0  # singular values (1, 0, 0) and a zero core column
+    return np.array(rows[:2] + [tie, singular_core] + rows[2:] + [both])
+
+
+def test_stacked_factor_codes_match_tls_solve_row_by_row():
+    A = _tls_rows()
+    U, core, codes = tls_factor_stack(A)
+    expected = []
+    for i, row in enumerate(A):
+        try:
+            est = tls_solve(row[:, :2], row[:, 2])
+        except RrtlsError as err:
+            expected.append(err.code)
+            continue
+        expected.append("")
+        # same retained span and corrected matrix as the per-trial solve
+        Us = U[i, :, :2]
+        np.testing.assert_allclose(Us @ Us.T, est.retained_columns @ est.retained_columns.T,
+                                   atol=1e-12)
+        np.testing.assert_allclose(Us @ core[i], est.H_corrected, atol=1e-12)
+    assert expected == ["", "", "nonunique-tls", "degenerate-solution", "", "nonunique-tls"]
+    assert codes.tolist() == expected
+
+
+def _eiv_run_reference(spec, solve):
+    """Replay an errors-in-variables run trial by trial: selection and
+    failure counts and the per-trial rows every aggregate is computed from."""
+    model = spec.model
+    p, x, sigma2, t_val = model.p, model.x, model.sigma2, model.theta_norm2
+    ranks = np.arange(1, p + 1)
+    counts = np.zeros(p, dtype=np.int64)
+    alt_counts = np.zeros(p, dtype=np.int64)
+    failures = {}
+    sq, auto, theory, formula, errors = [], [], [], [], []
+    for t in range(spec.trials):
+        front = _replay_tls_front(model, spec.seed, t, solve, failures)
+        if front is None:
+            continue
+        y, est, basis, scores = front
+        q_star = q_objective(scores, sigma2, p, t_val, "oracle").q_star
+        counts[q_star - 1] += 1
+        alt_counts[int(np.argmin(q_objective_bias_recipe(scores, sigma2, p, t_val)))] += 1
+        errs = [tls_reduced(basis, y, q) - x for q in ranks]
+        sq.append([float(e @ e) for e in errs])
+        auto.append(sq[-1][q_star - 1])
+        d = np.append(basis.columns.T @ x, est.discarded_column @ x)
+        theory.append(_tails(d * d)[:p] + ranks * sigma2)
+        formula.append(mse_theoretical_tls_full(model, est))
+        errors.append(errs[-1])
+    return counts, alt_counts, failures, np.array(sq), auto, theory, formula, np.array(errors)
+
+
+def _assert_eiv_matches_reference(res, spec, solve):
+    """Counts exactly, float aggregates to rtol 1e-12 (noiseless draws
+    leave the full-rank arm and the formula at rounding level, compared on
+    the absolute 1e-12 |x|^2 scale)."""
+    counts, alt_counts, failures, sq, auto, theory, formula, errors = \
+        _eiv_run_reference(spec, solve)
+    model, n = spec.model, sq.shape[0]
+    assert res.completed == n and res.failures == failures
+    if n == 0:
+        return sq, errors
+    atol = 1e-12 * float(model.x @ model.x) if model.sigma2 == 0 else 0.0
+    assert np.array_equal(res.sel_freq, counts / n)
+    assert np.array_equal(res.sel_freq_alt, alt_counts / n)
+    mean = sq.mean(axis=0)
+    np.testing.assert_allclose(res.mse_emp, mean, rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(res.mse_theory, np.mean(theory, axis=0), rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(res.auto_mse, np.mean(auto), rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(res.tls_full_formula_mean, np.mean(formula), rtol=1e-12, atol=atol)
+    if n >= 2:
+        se = sq.std(axis=0, ddof=1) / np.sqrt(n)
+        assert np.all(np.abs(res.mse_se - se) <= 1e-12 * (se + mean) + atol), (res.mse_se, se)
+    return sq, errors
+
+
+def _grid_reference(spec, grid, solve):
+    """Replay a selection-rule grid trial by trial."""
+    model = spec.model
+    p, sigma2 = model.p, model.sigma2
+    counts = np.zeros((len(grid), p), dtype=np.int64)
+    counts_alt = np.zeros_like(counts)
+    failures = {}
+    witness = None
+    for t in range(spec.trials):
+        front = _replay_tls_front(model, spec.seed, t, solve, failures)
+        if front is None:
+            continue
+        scores = front[3]
+        q = [q_objective(scores, sigma2, p, g, "oracle").q_star for g in grid]
+        for i, g in enumerate(grid):
+            counts[i, q[i] - 1] += 1
+            counts_alt[i, int(np.argmin(q_objective_bias_recipe(scores, sigma2, p, g)))] += 1
+        moved = [i for i in range(len(grid)) if q[i] != q[0]]
+        if witness is None and moved:
+            i = moved[0]
+            witness = {"trial": t, "t1": grid[0], "t2": grid[i], "q1": q[0], "q2": q[i]}
+    return counts, counts_alt, failures, witness
+
+
+def _assert_grid_matches_reference(comp, spec, grid, solve):
+    counts, counts_alt, failures, witness = _grid_reference(spec, grid, solve)
+    completed = spec.trials - sum(failures.values())
+    assert comp.completed == completed and comp.failures == failures
+    if completed:
+        assert np.array_equal(comp.q_star_freq, counts / completed)
+        assert np.array_equal(comp.q_star_freq_alt, counts_alt / completed)
+    assert comp.witness == witness and comp.theta_dependent == (witness is not None)
+
+
+@pytest.mark.parametrize("N, p, sigma2", [(2, 1, 0.0), (3, 2, 0.25)],
+                         ids=["p1-N-equals-p-plus-1-noiseless", "p2-noisy"])
+def test_errors_in_variables_chunk_boundaries_match_reference(monkeypatch, N, p, sigma2):
+    solve = _inject_flaky_stack(monkeypatch) if sigma2 else tls_solve
+    model = gaussian_model(N=N, p=p, theta=np.linspace(1.0, -0.5, p), sigma2=sigma2, seed=63)
+    trials = 2 * _chunk(N * (p + 1)) + 3
+    spec = ExperimentSpec(model=model, family="rrtls", trials=trials, seed=63,
+                          keep_samples=True, keep_errors=True)
+    res = run(spec)
+    sq, errors = _assert_eiv_matches_reference(res, spec, solve)
+    assert res.raw_sq_err.shape == (sq.shape[0], p) and res.raw_errors.shape == (sq.shape[0], N)
+    scale = float(model.x @ model.x)
+    np.testing.assert_allclose(res.raw_sq_err, sq, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(res.raw_errors, errors, rtol=1e-9, atol=1e-12 * np.sqrt(scale))
+    grid = [0.0, 1.0, 30.0]
+    _assert_grid_matches_reference(compare_selection_rules(spec, grid), spec, grid, solve)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    N=st.sampled_from([2, 3, 6, 16, 3000, 9000]),
+    p_draw=st.integers(1, 5),
+    sigma2=st.sampled_from([0.0, 0.01, 0.25, 4.0]),
+    trials=st.integers(2, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_errors_in_variables_run_matches_reference_property(N, p_draw, sigma2, trials, seed):
+    p = min(p_draw, N - 1)
+    model = gaussian_model(N=N, p=p, theta=np.linspace(2.0, -1.0, p), sigma2=sigma2, seed=seed)
+    spec = ExperimentSpec(model=model, family="rrtls", trials=trials, seed=seed)
+    grid = [0.0, 0.5, 3.0, 30.0]
+    with pytest.MonkeyPatch.context() as mp:
+        solve = _inject_flaky_stack(mp)
+        _assert_eiv_matches_reference(run(spec), spec, solve)
+        _assert_grid_matches_reference(compare_selection_rules(spec, grid), spec, grid, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -612,3 +786,18 @@ def test_comparison_rejects_non_finite_grid(no_draws, bad):
     spec = ExperimentSpec(model=tls_model(), family="rrtls", trials=10, seed=1)
     with pytest.raises(ValueError, match="finite"):
         compare_selection_rules(spec, [0.0, bad])
+
+
+@pytest.mark.parametrize("seed", [True, -1, 1.5, "3", None])
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        ExperimentSpec(model=small_model(), family="ls", trials=10, seed=seed)
+
+
+@pytest.mark.parametrize("family", ["tls", "rrtls"])
+@pytest.mark.parametrize("consume", [run, lambda spec: compare_selection_rules(spec, [0.0, 1.0])],
+                         ids=["run", "grid"])
+def test_errors_in_variables_spec_needs_a_spare_row(no_draws, family, consume):
+    model = gaussian_model(N=4, p=4, theta=[1.0, -0.5, 0.25, 2.0], sigma2=0.25, seed=65)
+    with pytest.raises(ValueError, match=r"needs N >= p \+ 1 rows .* got N=4, p=4"):
+        consume(ExperimentSpec(model=model, family=family, trials=10, seed=65))
