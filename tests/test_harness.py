@@ -429,7 +429,14 @@ def test_selection_comparison_matches_per_trial_reference(monkeypatch):
 
 def _additive_reference(spec):
     """Replay an additive run trial by trial: selection counts and the
-    per-trial rows every aggregate is computed from."""
+    per-trial rows every aggregate is computed from.
+
+    The squared error of the rank-r estimate P_r y is taken as the sum of
+    its two orthogonal parts, |P_r (y - x)|^2 + |x - P_r x|^2.  Squaring
+    P_r y - x directly cancels the signal against itself and leaves a
+    rounding error of about eps |x| |P_r y - x|, which exceeds 1e-12 of the
+    error when the noise is small against the signal (N = 3000, sigma2 =
+    0.01), while each orthogonal part is accurate to a few eps."""
     model = spec.model
     p, x, sigma2 = model.p, model.x, model.sigma2
     ranks = np.arange(1, p + 1)
@@ -442,7 +449,9 @@ def _additive_reference(spec):
         selection = select_rank_ls(basis, sigma2, p)
         counts[selection.r_star - 1] += 1
         errs = [ls_reduced(basis, y, r) - x for r in ranks]
-        sq.append([float(e @ e) for e in errs])
+        noise = [ls_reduced(basis, y - x, r) for r in ranks]
+        bias = [x - ls_reduced(basis, x, r) for r in ranks]
+        sq.append([float(n @ n + b @ b) for n, b in zip(noise, bias)])
         auto.append(sq[-1][selection.r_star - 1])
         risk.append(selection.objective)
         errors.append(errs[-1])
