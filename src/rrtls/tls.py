@@ -183,11 +183,7 @@ def tls_solve(
     )
 
 
-def tls_factor_stack(
-    A,
-    gap_rtol: float = DEFAULT_GAP_RTOL,
-    degeneracy_rtol: float = DEFAULT_DEGENERACY_RTOL,
-):
+def tls_factor_stack(A):
     """Factor and check a stack of TLS problems at once.
 
     ``A`` (b, N, p + 1) stacks the augmented matrices ``[H_tilde, y]``.
@@ -195,7 +191,8 @@ def tls_factor_stack(
     matrix (b, N, p + 1), retained columns first and the discarded one
     last, with no sign convention (every consumer is sign invariant); the
     cores ``U_s' H_tilde`` (b, p, p); and per row the code of the error
-    :func:`tls_solve` raises on that problem, ``""`` for a solved row.
+    :func:`tls_solve` raises on that problem at its default tolerances,
+    ``""`` for a solved row.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 3 or A.shape[1] < A.shape[2]:
@@ -205,7 +202,8 @@ def tls_factor_stack(
     p = A.shape[2] - 1
     U, S, _ = np.linalg.svd(A, full_matrices=False)
     core = np.swapaxes(U[..., :p], 1, 2) @ A[..., :p]
-    codes = _rejection_codes(S, np.linalg.svd(core, compute_uv=False), gap_rtol, degeneracy_rtol)
+    codes = _rejection_codes(S, np.linalg.svd(core, compute_uv=False),
+                             DEFAULT_GAP_RTOL, DEFAULT_DEGENERACY_RTOL)
     return U, core, codes
 
 
