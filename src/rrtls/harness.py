@@ -10,9 +10,12 @@ chunks as one (b, N) block of observations, errors-in-variables chunks as
 one (b, N, p + 1) block of augmented matrices factored and checked at once
 (``tls.tls_factor_stack``), with rejected trials counted per error code and
 dropped.  Each chunk's central moments are merged into the run totals in
-chunk order.
-``verify_chi_square`` turns the normalized-squared-error moment claims into
-pass/fail reports, ``compare_selection_rules`` evaluates the rank selection
+chunk order.  The aggregates (per-rank squared errors, the data-driven
+risk estimate, the moments of the normalized full-rank error) are the
+statistics the verification suite reads, so it needs no per-trial rows.
+``verify_chi_square`` turns the normalized-squared-error moment claims of
+any sequence of error vectors into the same pass/fail report that ``run``
+attaches, ``compare_selection_rules`` evaluates the rank selection
 of the reduced TLS hypothesis across a grid of parameter norms on identical
 realizations, and ``search_norm_dependence_witness`` finds a synthetic
 score vector whose selected rank provably changes with the parameter norm.
@@ -53,6 +56,12 @@ ERRORS_IN_VARIABLES = "errors-in-variables"
 OBSERVATION_MODEL = {"ls": ADDITIVE, "rrls": ADDITIVE,
                      "tls": ERRORS_IN_VARIABLES, "rrtls": ERRORS_IN_VARIABLES}
 FAMILIES = tuple(OBSERVATION_MODEL)
+
+# Pass-rule tolerances: a rank arm's MSE against its theory value (or 3 SE),
+# and the normalized full-rank error's mean and variance against p and 2p.
+MSE_RTOL = 0.03
+MEAN_RTOL = 0.01
+VAR_RTOL = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +189,7 @@ class ExperimentSpec:
     seed: int
     tls_mode: str = "oracle"
     bound: Optional[float] = None
-    mse_rtol: float = 0.03
-    mean_rtol: float = 0.01
-    var_rtol: float = 0.05
     keep_samples: bool = False
-    keep_errors: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -257,7 +262,6 @@ class ExperimentResult:
     mse_rtol: float
     row_pass: np.ndarray
     raw_sq_err: Optional[np.ndarray] = None
-    raw_errors: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -301,15 +305,11 @@ def _chunk_rows(draw_size: int) -> int:
     return min(1024, max(1, 2**16 // draw_size))
 
 
-def _stack(blocks) -> np.ndarray:
-    return np.concatenate(blocks) if blocks else np.array([])
-
-
 class _Accumulator:
     """Run totals: moments merged chunk by chunk, selection and failure
     counts, and the kept per-trial rows in trial order."""
 
-    def __init__(self, p: int, keep_samples: bool, keep_errors: bool):
+    def __init__(self, p: int, keep_samples: bool):
         self.sq = VecStats((p,))
         self.auto = VecStats(())
         self.norm = VecStats(())
@@ -319,8 +319,7 @@ class _Accumulator:
         self.sel_counts = np.zeros(p, dtype=np.int64)
         self.alt_counts = np.zeros(p, dtype=np.int64)
         self.failures: Dict[str, int] = {}
-        self.samples = [] if keep_samples else None
-        self.errors = [] if keep_errors else None
+        self.samples = [np.empty((0, p))] if keep_samples else None
 
     def add_chunk(self, sq: np.ndarray, r_index: np.ndarray, **blocks) -> None:
         """Merge the completed trials of one chunk: their per-rank squared
@@ -401,8 +400,6 @@ def _additive_chunk(spec: ExperimentSpec, U: np.ndarray, d: np.ndarray, resid: f
     if model.sigma2 > 0:
         blocks["norm"] = sq[:, -1] / model.sigma2
     acc.add_chunk(sq, np.argmin(objective, axis=1), **blocks)
-    if acc.errors is not None:
-        acc.errors.append(C @ U.T - model.x)
 
 
 def _eiv_chunk(spec: ExperimentSpec, start: int, stop: int, acc: _Accumulator) -> None:
@@ -430,8 +427,6 @@ def _eiv_chunk(spec: ExperimentSpec, start: int, stop: int, acc: _Accumulator) -
     acc.add_chunk(sq, q_index, theory=theory, formula_full=formula)
     alt_index = np.argmin(_bias_recipe_values(scores, sigma2, p, t_val), axis=1)
     acc.alt_counts += np.bincount(alt_index, minlength=p)
-    if acc.errors is not None:
-        acc.errors.append((Us @ coef[:, :p, None])[..., 0] - x)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +441,13 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     size alone (``N`` floats for the additive model, ``N (p + 1)`` for
     errors-in-variables), and each chunk is evaluated as stacked arrays;
     each chunk's moments are merged into the totals in chunk order, so a
-    seed fixes every aggregate bit for bit.  Kept per-trial rows
-    (``keep_samples``/``keep_errors``) come back in trial order.
+    seed fixes every aggregate bit for bit.  ``keep_samples`` returns the
+    per-rank squared errors of each completed trial as ``raw_sq_err``
+    (b, p), in trial order.
+
+    Additive runs also aggregate the risk estimate per rank (minus
+    ``sigma2 * r`` it is ``ls.bias_estimate``'s corrected statistic) and,
+    for ``sigma2 > 0``, the normalized full-rank error's moment report.
 
     Per-trial estimator failures (e.g. TLS nonuniqueness) are counted per
     error code and excluded from the aggregates, never imputed.
@@ -467,7 +467,7 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         rho = model.x - U @ d
         chunk = partial(_additive_chunk, spec, U, d, float(rho @ rho))
         rows = _chunk_rows(model.N)
-    acc = _Accumulator(p, spec.keep_samples, spec.keep_errors)
+    acc = _Accumulator(p, spec.keep_samples)
     for start in range(0, spec.trials, rows):
         chunk(start, min(start + rows, spec.trials), acc)
 
@@ -479,23 +479,10 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     sel_freq = acc.sel_counts / completed if completed else np.zeros(p)
     diff = np.abs(mse_emp - mse_theory)
     se_term = np.where(np.isfinite(mse_se), 3.0 * mse_se, 0.0)
-    row_pass = diff <= np.maximum(spec.mse_rtol * np.abs(mse_theory), se_term)
+    row_pass = diff <= np.maximum(MSE_RTOL * np.abs(mse_theory), se_term)
     moments = None
     if not eiv and model.sigma2 > 0 and completed >= 2:
-        var = float(acc.norm.variance())
-        m = float(acc.norm.mean)
-        moments = MomentReport(
-            n=completed,
-            dof=p,
-            mean=m,
-            mean_se=float(acc.norm.se()),
-            variance=var,
-            variance_se=float(acc.norm.variance_se()),
-            mean_rtol=spec.mean_rtol,
-            var_rtol=spec.var_rtol,
-            mean_ok=abs(m - p) <= spec.mean_rtol * p,
-            var_ok=abs(var - 2 * p) <= spec.var_rtol * 2 * p,
-        )
+        moments = _moment_report(acc.norm, p)
     return ExperimentResult(
         family=spec.family,
         trials=spec.trials,
@@ -514,10 +501,29 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         risk_estimate_se=(np.asarray(acc.risk.se()) if not eiv and completed else None),
         tls_full_formula_mean=(float(acc.formula_full.mean) if eiv and completed else None),
         moments=moments,
-        mse_rtol=spec.mse_rtol,
+        mse_rtol=MSE_RTOL,
         row_pass=row_pass,
-        raw_sq_err=(_stack(acc.samples) if acc.samples is not None else None),
-        raw_errors=(_stack(acc.errors) if acc.errors is not None else None),
+        raw_sq_err=(np.concatenate(acc.samples) if acc.samples is not None else None),
+    )
+
+
+def _moment_report(stats: VecStats, dof: int, mean_rtol: float = MEAN_RTOL,
+                   var_rtol: float = VAR_RTOL) -> MomentReport:
+    """Chi-square moment report of a normalized squared error from its
+    aggregated moments (at least two observations)."""
+    mean = float(stats.mean)
+    variance = float(stats.variance())
+    return MomentReport(
+        n=stats.n,
+        dof=dof,
+        mean=mean,
+        mean_se=float(stats.se()),
+        variance=variance,
+        variance_se=float(stats.variance_se()),
+        mean_rtol=mean_rtol,
+        var_rtol=var_rtol,
+        mean_ok=abs(mean - dof) <= mean_rtol * dof,
+        var_ok=abs(variance - 2 * dof) <= var_rtol * 2 * dof,
     )
 
 
@@ -525,8 +531,8 @@ def verify_chi_square(
     errors,
     sigma2: float,
     dof: int,
-    mean_rtol: float = 0.01,
-    var_rtol: float = 0.05,
+    mean_rtol: float = MEAN_RTOL,
+    var_rtol: float = VAR_RTOL,
     min_samples: int = 10_000,
 ) -> MomentReport:
     """Check the chi-square moments of normalized squared errors.
@@ -545,22 +551,7 @@ def verify_chi_square(
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive for a normalized error")
     s = np.einsum("ij,ij->i", E, E) / sigma2
-    mean = float(np.mean(s))
-    variance = float(np.var(s, ddof=1))
-    centered = s - mean
-    m4 = float(np.mean(centered**4))
-    return MomentReport(
-        n=n,
-        dof=dof,
-        mean=mean,
-        mean_se=float(np.sqrt(variance / n)),
-        variance=variance,
-        variance_se=float(np.sqrt(max(m4 - variance**2, 0.0) / n)),
-        mean_rtol=mean_rtol,
-        var_rtol=var_rtol,
-        mean_ok=abs(mean - dof) <= mean_rtol * dof,
-        var_ok=abs(variance - 2 * dof) <= var_rtol * 2 * dof,
-    )
+    return _moment_report(VecStats.from_block(s), dof, mean_rtol, var_rtol)
 
 
 def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> SelectionComparison:

@@ -13,13 +13,14 @@ singular vectors with the observation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularModelError
 from .model import DEFAULT_RANK_RTOL, MeasurementModel, _frozen_array
-from .svdtools import OrderedBasis, svd
+from .svdtools import OrderedBasis, check_rank, svd
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,7 @@ def ls_reduced(basis: OrderedBasis, y, r: int) -> np.ndarray:
     """Rank-r estimate of the signal: projection of y onto the span of the
     first r ordered columns."""
     y = np.asarray(y, dtype=float).reshape(-1)
-    if not 1 <= r <= basis.k:
-        raise ValueError(f"rank r={r} out of range 1..{basis.k}")
+    check_rank(basis, r)
     Ur = basis.columns[:, :r]
     return Ur @ (Ur.T @ y)
 
@@ -114,6 +114,18 @@ def tail_sums(scores: np.ndarray) -> np.ndarray:
     out = np.zeros_like(suffix)
     out[..., :-1] = suffix[..., 1:]
     return out
+
+
+def _check_rule_inputs(scores, sigma2: float, theta_norm2: float = 0.0) -> None:
+    """Inputs of the public rank rules: squared-product scores are
+    nonnegative, and the noise variance and the squared parameter norm are
+    finite and nonnegative (a NaN would silently select a rank)."""
+    if not np.all(np.asarray(scores) >= 0):
+        raise ValueError("scores are squared products and must be nonnegative")
+    if not math.isfinite(sigma2) or sigma2 < 0:
+        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
+    if not math.isfinite(theta_norm2) or theta_norm2 < 0:
+        raise ValueError(f"theta_norm2 must be finite and >= 0, got {theta_norm2}")
 
 
 def risk_objective(scores, sigma2: float) -> np.ndarray:
@@ -132,8 +144,7 @@ def mse_theoretical_ls(model: MeasurementModel, basis_of_x: OrderedBasis, r: int
     ``basis_of_x`` must be ordered against the true signal x (an oracle
     quantity; the Monte Carlo harness uses this for theory columns).
     """
-    if not 1 <= r <= basis_of_x.k:
-        raise ValueError(f"rank r={r} out of range 1..{basis_of_x.k}")
+    check_rank(basis_of_x, r)
     return float(np.sum(basis_of_x.scores[r:]) + r * model.sigma2)
 
 
@@ -147,8 +158,7 @@ def bias_estimate(basis: OrderedBasis, y, r: int, sigma2: float) -> BiasEstimate
     form the corrected value.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    if not 1 <= r <= basis.k:
-        raise ValueError(f"rank r={r} out of range 1..{basis.k}")
+    check_rank(basis, r)
     tail = basis.columns[:, r:]
     b_hat = tail @ (tail.T @ y)
     corrected = float(b_hat @ b_hat - sigma2 * (basis.k - r))
@@ -163,6 +173,7 @@ def select_rank_ls(basis: OrderedBasis, sigma2: float, p: int) -> RankSelection:
     """
     if basis.k != p:
         raise ValueError(f"basis has {basis.k} columns, expected p={p}")
+    _check_rule_inputs(basis.scores, sigma2)
     objective = risk_objective(basis.scores, sigma2)
     r_star = int(np.argmin(objective)) + 1
     return RankSelection(

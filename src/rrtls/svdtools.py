@@ -110,10 +110,15 @@ def order_by_scores(U, y) -> OrderedBasis:
     return OrderedBasis(columns=U[:, perm], scores=scores[perm], permutation=perm)
 
 
+def check_rank(basis: OrderedBasis, r: int) -> None:
+    """Raise ``ValueError`` unless ``1 <= r <= basis.k``."""
+    if not 1 <= r <= basis.k:
+        raise ValueError(f"rank r={r} out of range 1..{basis.k}")
+
+
 def projector(basis: OrderedBasis, r: int) -> np.ndarray:
     """Rank-r orthogonal projector onto the span of the first r ordered
     columns (symmetric, idempotent, trace r)."""
-    if not 1 <= r <= basis.k:
-        raise ValueError(f"rank r={r} out of range 1..{basis.k}")
+    check_rank(basis, r)
     Ur = basis.columns[:, :r]
     return Ur @ Ur.T

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateSolutionError, NonUniqueTlsError
-from .ls import ls_reduced, tail_sums
+from .ls import _check_rule_inputs, ls_reduced, tail_sums
 from .model import MeasurementModel, _frozen_array
 from .svdtools import OrderedBasis, SvdFactorization, svd
 
@@ -261,14 +261,11 @@ def q_objective(scores, sigma2: float, p: int, theta_norm2: float, mode: str) ->
     scores = np.asarray(scores, dtype=float).reshape(-1)
     if scores.shape[0] != p + 1:
         raise ValueError(f"expected p + 1 = {p + 1} scores, got {scores.shape[0]}")
-    if np.any(scores < 0):
-        raise ValueError("scores are squared products and must be nonnegative")
+    _check_rule_inputs(scores, sigma2, theta_norm2)
     if np.any(np.diff(scores[:p]) > 0):
         raise ValueError("the first p scores must be nonincreasing")
     if mode not in Q_MODES:
         raise ValueError(f"mode must be one of {Q_MODES}, got {mode!r}")
-    if not np.isfinite(theta_norm2) or theta_norm2 < 0:
-        raise ValueError(f"theta_norm2 must be >= 0, got {theta_norm2}")
     values = _q_values(scores, sigma2, p, float(theta_norm2))
     q_star = int(np.argmin(values)) + 1
     return QObjective(values=values, q_star=q_star, mode=mode, scores=scores)
@@ -288,6 +285,7 @@ def q_objective_bias_recipe(scores, sigma2: float, p: int, theta_norm2: float) -
     scores = np.asarray(scores, dtype=float).reshape(-1)
     if scores.shape[0] != p + 1:
         raise ValueError(f"expected p + 1 = {p + 1} scores, got {scores.shape[0]}")
+    _check_rule_inputs(scores, sigma2, theta_norm2)
     return _bias_recipe_values(scores, sigma2, p, float(theta_norm2))
 
 

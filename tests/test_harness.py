@@ -11,6 +11,7 @@ from rrtls import (
     NonUniqueTlsError,
     RrtlsError,
     augmented_scores,
+    bias_estimate,
     compare_selection_rules,
     gaussian_model,
     ls_reduced,
@@ -154,6 +155,20 @@ def test_failures_are_counted_not_imputed(monkeypatch):
     assert res.completed + res.failures["nonunique-tls"] == 100
     # aggregates come from completed trials only
     assert np.isfinite(res.mse_emp).all()
+
+
+def test_kept_rows_keep_their_shape_when_every_trial_is_rejected(monkeypatch):
+    factor = harness_mod.tls_factor_stack
+
+    def reject_all(A):
+        U, core, codes = factor(A)
+        return U, core, np.full(codes.shape, NonUniqueTlsError.code)
+
+    monkeypatch.setattr(harness_mod, "tls_factor_stack", reject_all)
+    spec = ExperimentSpec(model=tls_model(), family="rrtls", trials=10, seed=69, keep_samples=True)
+    res = run(spec)
+    assert res.completed == 0 and res.failures == {"nonunique-tls": 10}
+    assert res.raw_sq_err.shape == (0, 4)
 
 
 def test_vecstats_merge_matches_streaming():
@@ -444,21 +459,19 @@ def _additive_reference(spec):
     ranks = np.arange(1, p + 1)
     U = svd(model.H).U
     counts = np.zeros(p, dtype=np.int64)
-    sq, auto, risk, errors = [], [], [], []
+    sq, auto, risk = [], [], []
     for t in range(spec.trials):
         y = sample_ls(model, spec.seed, t).y
         basis = order_by_scores(U, y)
         selection = select_rank_ls(basis, sigma2, p)
         counts[selection.r_star - 1] += 1
-        errs = [ls_reduced(basis, y, r) - x for r in ranks]
         noise = [ls_reduced(basis, y - x, r) for r in ranks]
         bias = [x - ls_reduced(basis, x, r) for r in ranks]
         sq.append([float(n @ n + b @ b) for n, b in zip(noise, bias)])
         auto.append(sq[-1][selection.r_star - 1])
         risk.append(selection.objective)
-        errors.append(errs[-1])
     theory = _tails(order_by_scores(U, x).scores) + ranks * sigma2
-    return counts, np.array(sq), auto, np.array(risk), np.array(errors), theory
+    return counts, np.array(sq), auto, np.array(risk), theory
 
 
 def _assert_additive_matches_reference(res, spec):
@@ -467,7 +480,7 @@ def _assert_additive_matches_reference(res, spec):
     engine and the reference compute each trial's squared errors by
     different sums, which agree to about 1e-15 of their size, and spreads
     that are small against the mean magnify that difference."""
-    counts, sq, auto, risk, errors, theory = _additive_reference(spec)
+    counts, sq, auto, risk, theory = _additive_reference(spec)
     model, n = spec.model, spec.trials
     # Noiseless draws leave the full-rank arm at rounding level, which
     # only an absolute scale can compare.
@@ -484,7 +497,7 @@ def _assert_additive_matches_reference(res, spec):
     assert np.all(np.abs(res.mse_se - se) <= 1e-12 * (se + mean) + atol), (res.mse_se, se)
     if model.sigma2 == 0:
         assert res.moments is None
-        return sq, errors
+        return sq
     norm = sq[:, -1] / model.sigma2
     m, m2, m4 = norm.mean(), np.mean((norm - norm.mean()) ** 2), np.mean((norm - norm.mean()) ** 4)
     np.testing.assert_allclose(res.moments.mean, m, rtol=1e-12)
@@ -493,7 +506,7 @@ def _assert_additive_matches_reference(res, spec):
     # variance_se^2 * n = m4 - m2^2, compared before the square root
     np.testing.assert_allclose(res.moments.variance_se**2 * n, max(m4 - m2 * m2, 0.0),
                                rtol=1e-10, atol=1e-12 * m**4)
-    return sq, errors
+    return sq
 
 
 def _chunk(N):
@@ -523,13 +536,11 @@ def test_kept_rows_follow_trial_order_across_chunks():
     N = 8192
     model = gaussian_model(N=N, p=3, theta=[1.0, -0.5, 0.25], sigma2=0.25, seed=49)
     trials = 2 * _chunk(N) + 3
-    spec = ExperimentSpec(model=model, family="rrls", trials=trials, seed=49,
-                          keep_samples=True, keep_errors=True)
+    spec = ExperimentSpec(model=model, family="rrls", trials=trials, seed=49, keep_samples=True)
     res = run(spec)
-    sq, errors = _assert_additive_matches_reference(res, spec)
-    assert res.raw_sq_err.shape == (trials, 3) and res.raw_errors.shape == (trials, N)
+    sq = _assert_additive_matches_reference(res, spec)
+    assert res.raw_sq_err.shape == (trials, 3)
     np.testing.assert_allclose(res.raw_sq_err, sq, rtol=1e-12)
-    np.testing.assert_allclose(res.raw_errors, errors, rtol=1e-9, atol=1e-12 * np.abs(model.x).max())
 
 
 def test_errors_in_variables_chunks_match_per_trial_reference(monkeypatch):
@@ -561,6 +572,30 @@ def test_errors_in_variables_chunks_match_per_trial_reference(monkeypatch):
     assert failures.get("nonunique-tls", 0) > 0
     _assert_matches_reference(res, counts, failures, sq, auto, np.mean(theory, axis=0))
     np.testing.assert_allclose(res.raw_sq_err, np.array(sq), rtol=1e-12)
+
+
+def test_risk_estimate_aggregates_the_corrected_bias_statistic():
+    # ls.bias_estimate's corrected statistic at rank r is the risk estimate
+    # minus sigma2 * r, so its mean and SE come off the run's aggregates
+    model = small_model()
+    p, sigma2 = model.p, model.sigma2
+    trials = 2 * _chunk(16) + 1
+    spec = ExperimentSpec(model=model, family="rrls", trials=trials, seed=67)
+    res = run(spec)
+    U = svd(model.H).U
+    corrected = []
+    for t in range(trials):
+        y = sample_ls(model, spec.seed, t).y
+        basis = order_by_scores(U, y)
+        corrected.append([bias_estimate(basis, y, r, sigma2).b_hat_norm2_corrected
+                          for r in range(1, p + 1)])
+    corrected = np.array(corrected)
+    mean = corrected.mean(axis=0)
+    se = corrected.std(axis=0, ddof=1) / np.sqrt(trials)
+    np.testing.assert_allclose(res.risk_estimate_mean - sigma2 * np.arange(1, p + 1), mean,
+                               rtol=1e-12, atol=1e-12 * np.abs(corrected).max())
+    assert np.all(np.abs(res.risk_estimate_se - se) <= 1e-12 * (se + np.abs(mean))), \
+        (res.risk_estimate_se, se)
 
 
 @settings(max_examples=25, deadline=None)
@@ -630,7 +665,7 @@ def _eiv_run_reference(spec, solve):
     counts = np.zeros(p, dtype=np.int64)
     alt_counts = np.zeros(p, dtype=np.int64)
     failures = {}
-    sq, auto, theory, formula, errors = [], [], [], [], []
+    sq, auto, theory, formula = [], [], [], []
     for t in range(spec.trials):
         front = _replay_tls_front(model, spec.seed, t, solve, failures)
         if front is None:
@@ -639,7 +674,6 @@ def _eiv_run_reference(spec, solve):
         q_star = q_objective(scores, sigma2, p, t_val, "oracle").q_star
         counts[q_star - 1] += 1
         alt_counts[int(np.argmin(q_objective_bias_recipe(scores, sigma2, p, t_val)))] += 1
-        errs = [tls_reduced(basis, y, q) - x for q in ranks]
         noise = [tls_reduced(basis, y - x, q) for q in ranks]
         bias = [x - tls_reduced(basis, x, q) for q in ranks]
         sq.append([float(n @ n + b @ b) for n, b in zip(noise, bias)])
@@ -647,20 +681,18 @@ def _eiv_run_reference(spec, solve):
         d = np.append(basis.columns.T @ x, est.discarded_column @ x)
         theory.append(_tails(d * d)[:p] + ranks * sigma2)
         formula.append(mse_theoretical_tls_full(model, est))
-        errors.append(errs[-1])
-    return counts, alt_counts, failures, np.array(sq), auto, theory, formula, np.array(errors)
+    return counts, alt_counts, failures, np.array(sq), auto, theory, formula
 
 
 def _assert_eiv_matches_reference(res, spec, solve):
     """Counts exactly, float aggregates to rtol 1e-12 (noiseless draws
     leave the full-rank arm and the formula at rounding level, compared on
     the absolute 1e-12 |x|^2 scale)."""
-    counts, alt_counts, failures, sq, auto, theory, formula, errors = \
-        _eiv_run_reference(spec, solve)
+    counts, alt_counts, failures, sq, auto, theory, formula = _eiv_run_reference(spec, solve)
     model, n = spec.model, sq.shape[0]
     assert res.completed == n and res.failures == failures
     if n == 0:
-        return sq, errors
+        return sq
     atol = 1e-12 * float(model.x @ model.x) if model.sigma2 == 0 else 0.0
     assert np.array_equal(res.sel_freq, counts / n)
     assert np.array_equal(res.sel_freq_alt, alt_counts / n)
@@ -672,7 +704,7 @@ def _assert_eiv_matches_reference(res, spec, solve):
     if n >= 2:
         se = sq.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(res.mse_se - se) <= 1e-12 * (se + mean) + atol), (res.mse_se, se)
-    return sq, errors
+    return sq
 
 
 def _grid_reference(spec, grid, solve):
@@ -715,14 +747,12 @@ def test_errors_in_variables_chunk_boundaries_match_reference(monkeypatch, N, p,
     solve = _inject_flaky_stack(monkeypatch) if sigma2 else tls_solve
     model = gaussian_model(N=N, p=p, theta=np.linspace(1.0, -0.5, p), sigma2=sigma2, seed=63)
     trials = 2 * _chunk(N * (p + 1)) + 3
-    spec = ExperimentSpec(model=model, family="rrtls", trials=trials, seed=63,
-                          keep_samples=True, keep_errors=True)
+    spec = ExperimentSpec(model=model, family="rrtls", trials=trials, seed=63, keep_samples=True)
     res = run(spec)
-    sq, errors = _assert_eiv_matches_reference(res, spec, solve)
-    assert res.raw_sq_err.shape == (sq.shape[0], p) and res.raw_errors.shape == (sq.shape[0], N)
+    sq = _assert_eiv_matches_reference(res, spec, solve)
+    assert res.raw_sq_err.shape == (sq.shape[0], p)
     scale = float(model.x @ model.x)
     np.testing.assert_allclose(res.raw_sq_err, sq, rtol=1e-12, atol=1e-12 * scale)
-    np.testing.assert_allclose(res.raw_errors, errors, rtol=1e-9, atol=1e-12 * np.sqrt(scale))
     grid = [0.0, 1.0, 30.0]
     _assert_grid_matches_reference(compare_selection_rules(spec, grid), spec, grid, solve)
 

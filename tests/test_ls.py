@@ -33,9 +33,7 @@ def planted():
 
 @pytest.fixture(scope="module")
 def planted_run(planted):
-    spec = ExperimentSpec(
-        model=planted, family="rrls", trials=100_000, seed=SEED, keep_errors=True
-    )
+    spec = ExperimentSpec(model=planted, family="rrls", trials=100_000, seed=SEED)
     return run(spec)
 
 
@@ -130,7 +128,10 @@ def test_mse_theoretical_matches_monte_carlo(planted, planted_run):
 
 
 def test_full_rank_estimator_unbiased(planted, planted_run):
-    errors = planted_run.raw_errors
+    # the full-rank errors U U'y - x of the run's trials
+    U = svd(planted.H).U
+    Y = np.array([sample_ls(planted, SEED, t).y for t in range(planted_run.trials)])
+    errors = (Y @ U) @ U.T - planted.x
     n = errors.shape[0]
     se = errors.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(errors.mean(axis=0)) <= 3.5 * se)
@@ -194,6 +195,14 @@ def test_select_rank_orthogonal_observation():
     sel = select_rank_ls(basis, sigma2=0.5, p=4)
     assert np.all(np.diff(sel.objective) > 0)
     assert sel.r_star == 1
+
+
+@pytest.mark.parametrize("sigma2", [float("nan"), -0.5, float("inf")])
+def test_select_rank_rejects_invalid_noise_variance(sigma2):
+    # unchecked, NaN selects rank 1 and a negative value rank p
+    basis = order_by_scores(np.eye(8)[:, :4], np.arange(8.0))
+    with pytest.raises(ValueError, match="sigma2"):
+        select_rank_ls(basis, sigma2=sigma2, p=4)
 
 
 def test_select_rank_noiseless_planted_tie_break():

@@ -287,6 +287,28 @@ def test_q_objective_input_errors():
         q_objective(np.array([1.0, 2.0, 0.5, 0.1, 0.0]), 0.1, 4, 1.0, "oracle")
 
 
+@pytest.mark.parametrize(
+    "sigma2, theta_norm2, scores",
+    [
+        (float("nan"), 1.0, [4.0, 2.0, 1.0]),
+        (-0.1, 1.0, [4.0, 2.0, 1.0]),
+        (float("inf"), 1.0, [4.0, 2.0, 1.0]),
+        (0.1, float("nan"), [4.0, 2.0, 1.0]),
+        (0.1, -1.0, [4.0, 2.0, 1.0]),
+        (0.1, 1.0, [4.0, 2.0, -1.0]),
+        (0.1, 1.0, [4.0, float("nan"), 1.0]),
+    ],
+    ids=["sigma2-nan", "sigma2-negative", "sigma2-inf", "norm-nan", "norm-negative",
+         "score-negative", "score-nan"],
+)
+def test_q_rules_reject_invalid_inputs(sigma2, theta_norm2, scores):
+    # unchecked, these give NaN objective values or a silently chosen rank
+    with pytest.raises(ValueError):
+        q_objective(np.array(scores), sigma2, 2, theta_norm2, "oracle")
+    with pytest.raises(ValueError):
+        q_objective_bias_recipe(np.array(scores), sigma2, 2, theta_norm2)
+
+
 def test_q_objective_bound_mode_matches_oracle_formula():
     scores = np.array([6.0, 2.0, 1.0, 0.5, 0.1])
     a = q_objective(scores, 0.2, 4, 1.5, "oracle")
