@@ -129,7 +129,7 @@ def _criterion_3(seed: int):
     coefficients = np.array([10.0, 7.0, 4.0, 2.0])
     sigma2 = 0.04
     model = planted_model(N=16, coefficients=coefficients, sigma2=sigma2, seed=seed + 103)
-    targets = tail_sums(coefficients**2)  # oracle ordering equals coefficient order
+    targets = tail_sums(coefficients**2)[:3]  # oracle ordering equals coefficient order
     trials = 100_000
     res = run(ExperimentSpec(model=model, family="rrls", trials=trials, seed=seed + 3))
     # The corrected bias statistic of ls.bias_estimate at rank r is the
@@ -138,12 +138,12 @@ def _criterion_3(seed: int):
     ranks = np.arange(1, 4)
     means = res.risk_estimate_mean[:3] - sigma2 * ranks
     ses = res.risk_estimate_se[:3]
-    zscores = (means - targets[:3]) / ses
+    zscores = (means - targets) / ses
     passed = bool(np.all(np.abs(zscores) <= 3.0))
     data = {
         "ranks": ranks.tolist(),
         "means": means.tolist(),
-        "targets": targets[:3].tolist(),
+        "targets": targets.tolist(),
         "standard_errors": ses.tolist(),
         "z_scores": zscores.tolist(),
         "trials": trials,
