@@ -41,7 +41,6 @@ from .ls import risk_objective, select_rank_ls, tail_sums  # noqa: F401
 from .model import MeasurementModel, sample_ls, sample_tls, _aux_rng
 from .svdtools import check_orthonormal, order_by_scores, svd
 from .tls import (  # noqa: F401
-    _bias_recipe_values,
     _q_values,
     _tls_full_mse,
     augmented_scores,
@@ -62,6 +61,10 @@ FAMILIES = tuple(OBSERVATION_MODEL)
 MSE_RTOL = 0.03
 MEAN_RTOL = 0.01
 VAR_RTOL = 0.05
+# Fewest error vectors verify_chi_square accepts, and the most score
+# vectors search_norm_dependence_witness draws before giving up.
+MIN_SAMPLES = 10_000
+MAX_WITNESS_TRIES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +183,8 @@ class ExperimentSpec:
 
     ``tls_mode``/``bound`` choose how the reduced-TLS selection objective
     obtains the squared parameter norm (the oracle value from the model, or
-    a caller-supplied upper bound).
+    a caller-supplied upper bound); additive families take only the oracle
+    mode, and a bound is given exactly in bound mode.
     """
 
     model: MeasurementModel
@@ -189,7 +193,6 @@ class ExperimentSpec:
     seed: int
     tls_mode: str = "oracle"
     bound: Optional[float] = None
-    keep_samples: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -210,6 +213,12 @@ class ExperimentSpec:
             raise ValueError(f"tls_mode must be 'oracle' or 'bound', got {self.tls_mode!r}")
         if self.bound is not None and not math.isfinite(self.bound):
             raise ValueError(f"bound must be finite, got {self.bound!r}")
+        if self.observation == ADDITIVE and self.tls_mode != "oracle":
+            raise ValueError(f"family {self.family!r} has no reduced-TLS objective; "
+                             f"tls_mode must be 'oracle', got {self.tls_mode!r}")
+        if self.tls_mode != "bound" and self.bound is not None:
+            raise ValueError(f"bound is only used in bound mode, got bound={self.bound!r} "
+                             f"with tls_mode={self.tls_mode!r}")
         if self.tls_mode == "bound":
             if self.bound is None or self.bound < 0:
                 raise ValueError("bound mode requires a nonnegative bound")
@@ -223,7 +232,11 @@ class ExperimentSpec:
 @dataclass
 class MomentReport:
     """Empirical mean/variance of a normalized squared error against its
-    chi-square reference moments, with standard errors and pass flags."""
+    chi-square reference moments, with standard errors and pass flags.
+
+    The flags are recomputable from the stored moments: the mean must be
+    within ``MEAN_RTOL`` of ``dof`` and the variance within ``VAR_RTOL`` of
+    ``2 * dof`` (relative)."""
 
     n: int
     dof: int
@@ -231,16 +244,15 @@ class MomentReport:
     mean_se: float
     variance: float
     variance_se: float
-    mean_rtol: float
-    var_rtol: float
     mean_ok: bool
     var_ok: bool
 
 
 @dataclass
 class ExperimentResult:
-    """Aggregates of one Monte Carlo run; all flags are recomputable from
-    the stored aggregates."""
+    """Aggregates of one Monte Carlo run.  All flags are recomputable from
+    the stored aggregates: a row passes when its empirical MSE is within
+    ``MSE_RTOL`` of its theory value (relative) or within 3 SE."""
 
     family: str
     trials: int
@@ -259,9 +271,7 @@ class ExperimentResult:
     risk_estimate_se: Optional[np.ndarray]
     tls_full_formula_mean: Optional[float]
     moments: Optional[MomentReport]
-    mse_rtol: float
     row_pass: np.ndarray
-    raw_sq_err: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -306,10 +316,10 @@ def _chunk_rows(draw_size: int) -> int:
 
 
 class _Accumulator:
-    """Run totals: moments merged chunk by chunk, selection and failure
-    counts, and the kept per-trial rows in trial order."""
+    """Run totals: moments merged chunk by chunk, and selection and
+    failure counts."""
 
-    def __init__(self, p: int, keep_samples: bool):
+    def __init__(self, p: int):
         self.sq = VecStats((p,))
         self.auto = VecStats(())
         self.norm = VecStats(())
@@ -319,7 +329,6 @@ class _Accumulator:
         self.sel_counts = np.zeros(p, dtype=np.int64)
         self.alt_counts = np.zeros(p, dtype=np.int64)
         self.failures: Dict[str, int] = {}
-        self.samples = [np.empty((0, p))] if keep_samples else None
 
     def add_chunk(self, sq: np.ndarray, r_index: np.ndarray, **blocks) -> None:
         """Merge the completed trials of one chunk: their per-rank squared
@@ -329,8 +338,6 @@ class _Accumulator:
         for name, rows in blocks.items():
             getattr(self, name).merge(VecStats.from_block(rows))
         self.sel_counts += np.bincount(r_index, minlength=self.sel_counts.shape[0])
-        if self.samples is not None:
-            self.samples.append(sq)
 
 
 def _rank_sq_errors(diff: np.ndarray, d: np.ndarray, resid) -> np.ndarray:
@@ -425,7 +432,7 @@ def _eiv_chunk(spec: ExperimentSpec, start: int, stop: int, acc: _Accumulator) -
     formula = _tls_full_mse(model, (Us @ (core @ model.theta)[..., None])[..., 0])
     q_index = np.argmin(_q_values(scores, sigma2, p, t_val), axis=1)
     acc.add_chunk(sq, q_index, theory=theory, formula_full=formula)
-    alt_index = np.argmin(_bias_recipe_values(scores, sigma2, p, t_val), axis=1)
+    alt_index = np.argmin(risk_objective(scores, sigma2 * (1.0 + t_val))[:, :p], axis=1)
     acc.alt_counts += np.bincount(alt_index, minlength=p)
 
 
@@ -441,9 +448,8 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     size alone (``N`` floats for the additive model, ``N (p + 1)`` for
     errors-in-variables), and each chunk is evaluated as stacked arrays;
     each chunk's moments are merged into the totals in chunk order, so a
-    seed fixes every aggregate bit for bit.  ``keep_samples`` returns the
-    per-rank squared errors of each completed trial as ``raw_sq_err``
-    (b, p), in trial order.
+    seed fixes every aggregate bit for bit.  No per-trial rows are kept:
+    the result holds only the aggregates.
 
     Additive runs also aggregate the risk estimate per rank (minus
     ``sigma2 * r`` it is ``ls.bias_estimate``'s corrected statistic) and,
@@ -467,7 +473,7 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         rho = model.x - U @ d
         chunk = partial(_additive_chunk, spec, U, d, float(rho @ rho))
         rows = _chunk_rows(model.N)
-    acc = _Accumulator(p, spec.keep_samples)
+    acc = _Accumulator(p)
     for start in range(0, spec.trials, rows):
         chunk(start, min(start + rows, spec.trials), acc)
 
@@ -501,14 +507,11 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         risk_estimate_se=(np.asarray(acc.risk.se()) if not eiv and completed else None),
         tls_full_formula_mean=(float(acc.formula_full.mean) if eiv and completed else None),
         moments=moments,
-        mse_rtol=MSE_RTOL,
         row_pass=row_pass,
-        raw_sq_err=(np.concatenate(acc.samples) if acc.samples is not None else None),
     )
 
 
-def _moment_report(stats: VecStats, dof: int, mean_rtol: float = MEAN_RTOL,
-                   var_rtol: float = VAR_RTOL) -> MomentReport:
+def _moment_report(stats: VecStats, dof: int) -> MomentReport:
     """Chi-square moment report of a normalized squared error from its
     aggregated moments (at least two observations)."""
     mean = float(stats.mean)
@@ -520,38 +523,36 @@ def _moment_report(stats: VecStats, dof: int, mean_rtol: float = MEAN_RTOL,
         mean_se=float(stats.se()),
         variance=variance,
         variance_se=float(stats.variance_se()),
-        mean_rtol=mean_rtol,
-        var_rtol=var_rtol,
-        mean_ok=abs(mean - dof) <= mean_rtol * dof,
-        var_ok=abs(variance - 2 * dof) <= var_rtol * 2 * dof,
+        mean_ok=abs(mean - dof) <= MEAN_RTOL * dof,
+        var_ok=abs(variance - 2 * dof) <= VAR_RTOL * 2 * dof,
     )
 
 
-def verify_chi_square(
-    errors,
-    sigma2: float,
-    dof: int,
-    mean_rtol: float = MEAN_RTOL,
-    var_rtol: float = VAR_RTOL,
-    min_samples: int = 10_000,
-) -> MomentReport:
+def verify_chi_square(errors, sigma2: float, dof: int) -> MomentReport:
     """Check the chi-square moments of normalized squared errors.
 
-    ``errors`` is a sequence of error vectors; the statistic is
-    ``|e|^2 / sigma2`` per vector, whose reference moments are ``dof`` and
-    ``2 * dof``.  Mean must match within ``mean_rtol`` (relative) and
-    variance within ``var_rtol``.
+    ``errors`` is a sequence of at least ``MIN_SAMPLES`` (10,000) finite
+    error vectors; the statistic is ``|e|^2 / sigma2`` per vector, whose
+    reference moments are ``dof`` and ``2 * dof``.  Mean must match within
+    ``MEAN_RTOL`` (relative) and variance within ``VAR_RTOL``.  ``sigma2``
+    must be finite and positive and ``dof`` a positive integer.
     """
     E = np.asarray(errors, dtype=float)
     if E.ndim != 2:
         raise ValueError(f"expected a sequence of vectors, got shape {E.shape}")
     n = E.shape[0]
-    if n < min_samples:
-        raise InsufficientDataError(f"need at least {min_samples} samples, got {n}")
+    if n < MIN_SAMPLES:
+        raise InsufficientDataError(f"need at least {MIN_SAMPLES} samples, got {n}")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive for a normalized error")
+    if not math.isfinite(sigma2):
+        raise ValueError(f"sigma2 must be finite, got {sigma2}")
+    if isinstance(dof, bool) or not isinstance(dof, numbers.Integral) or dof < 1:
+        raise ValueError(f"dof must be a positive integer, got {dof!r}")
+    if not np.isfinite(E).all():
+        raise ValueError("error entries must be finite")
     s = np.einsum("ij,ij->i", E, E) / sigma2
-    return _moment_report(VecStats.from_block(s), dof, mean_rtol, var_rtol)
+    return _moment_report(VecStats.from_block(s), dof)
 
 
 def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> SelectionComparison:
@@ -590,7 +591,7 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
         completed += trials.shape[0]
         # (G, b) selected rank indices: every grid value on every trial
         q_index = np.argmin(_q_values(scores, model.sigma2, p, t), axis=-1)
-        alt_index = np.argmin(_bias_recipe_values(scores, model.sigma2, p, t), axis=-1)
+        alt_index = np.argmin(risk_objective(scores, model.sigma2 * (1.0 + t))[..., :p], axis=-1)
         for i in range(G):
             counts[i] += np.bincount(q_index[i], minlength=p)
             counts_alt[i] += np.bincount(alt_index[i], minlength=p)
@@ -625,19 +626,18 @@ def search_norm_dependence_witness(
     sigma2: float = 0.25,
     t_grid: Sequence[float] = (0.0, 1.0, 3.0, 10.0),
     seed: int = 0,
-    max_tries: int = 10_000,
 ) -> NormDependenceWitness:
     """Search synthetic descending score vectors for one whose selected
     rank differs between two grid values of the parameter norm.
 
     Deterministic given ``seed``; raises ``RuntimeError`` if no witness
-    appears within ``max_tries`` draws (with the default ranges a witness
+    appears within ``MAX_WITNESS_TRIES`` draws (with the default ranges a witness
     is found almost immediately).
     """
     from .tls import norm_dependence_certificate
 
     rng = _aux_rng(seed, 4)
-    for attempt in range(1, max_tries + 1):
+    for attempt in range(1, MAX_WITNESS_TRIES + 1):
         scores = sigma2 * np.sort(rng.uniform(0.0, 12.0, size=p + 1))[::-1]
         cert = norm_dependence_certificate(t_grid, scores, sigma2, p)
         if not cert.is_constant:
@@ -646,4 +646,4 @@ def search_norm_dependence_witness(
                 p=p, sigma2=sigma2, scores=scores,
                 t1=t1, t2=t2, q1=q1, q2=q2, tries=attempt,
             )
-    raise RuntimeError(f"no norm-dependent instance found in {max_tries} tries")
+    raise RuntimeError(f"no norm-dependent instance found in {MAX_WITNESS_TRIES} tries")

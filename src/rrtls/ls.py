@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularModelError
-from .model import DEFAULT_RANK_RTOL, MeasurementModel, _frozen_array
+from .model import RANK_RTOL, MeasurementModel, _frozen_array
 from .svdtools import OrderedBasis, check_rank, svd
 
 
@@ -69,7 +69,7 @@ class RankSelection:
         return np.arange(1, self.objective.shape[0] + 1)
 
 
-def ls_full(H, y, rank_rtol: float = DEFAULT_RANK_RTOL) -> LsEstimate:
+def ls_full(H, y) -> LsEstimate:
     """Full-rank least squares solved through the SVD of H.
 
     Computes ``theta_hat = V @ diag(1/S) @ U.T @ y`` (equal to the
@@ -80,15 +80,16 @@ def ls_full(H, y, rank_rtol: float = DEFAULT_RANK_RTOL) -> LsEstimate:
     ------
     SingularModelError
         If the smallest singular value of H is at or below
-        ``rank_rtol`` times the largest.
+        ``model.RANK_RTOL`` (1e-10) times the largest, the threshold
+        :class:`MeasurementModel` applies to its design matrix.
     """
     H = np.asarray(H, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     f = svd(H)
-    if f.S[-1] <= rank_rtol * f.S[0]:
+    if f.S[-1] <= RANK_RTOL * f.S[0]:
         raise SingularModelError(
             f"design matrix is numerically singular: smallest singular value "
-            f"{f.S[-1]:.6e} <= {rank_rtol:g} * {f.S[0]:.6e}"
+            f"{f.S[-1]:.6e} <= {RANK_RTOL:g} * {f.S[0]:.6e}"
         )
     theta_hat = f.V @ ((f.U.T @ y) / f.S)
     x_hat = H @ theta_hat

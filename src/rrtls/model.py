@@ -27,7 +27,9 @@ import numpy as np
 
 from .errors import ModelInvalidError
 
-DEFAULT_RANK_RTOL = 1e-10
+# Relative singular-value threshold defining numerical full rank: the
+# smallest singular value of H must exceed RANK_RTOL times the largest.
+RANK_RTOL = 1e-10
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -71,16 +73,14 @@ class MeasurementModel:
         True parameter vector.
     sigma2 : float
         Per-entry noise variance; 0 is allowed for noiseless oracle runs.
-    rank_rtol : float, optional
-        Relative singular-value threshold defining numerical full rank:
-        the smallest singular value of ``H`` must exceed
-        ``rank_rtol * largest``.
+
+    Raises ``ModelInvalidError`` unless the smallest singular value of
+    ``H`` exceeds ``RANK_RTOL`` (1e-10) times the largest.
     """
 
     H: np.ndarray
     theta: np.ndarray
     sigma2: float
-    rank_rtol: float = DEFAULT_RANK_RTOL
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
@@ -99,10 +99,10 @@ class MeasurementModel:
         if not np.isfinite(self.sigma2) or self.sigma2 < 0:
             raise ModelInvalidError(f"sigma2 must be >= 0, got {self.sigma2}")
         svals = np.linalg.svd(H, compute_uv=False)
-        if svals[-1] <= self.rank_rtol * svals[0]:
+        if svals[-1] <= RANK_RTOL * svals[0]:
             raise ModelInvalidError(
                 "columns of H are numerically dependent: smallest singular "
-                f"value {svals[-1]:.6e} <= {self.rank_rtol:g} * {svals[0]:.6e}"
+                f"value {svals[-1]:.6e} <= {RANK_RTOL:g} * {svals[0]:.6e}"
             )
         object.__setattr__(self, "H", _frozen_array(H))
         object.__setattr__(self, "theta", _frozen_array(theta))
@@ -178,28 +178,14 @@ def sample_tls(model: MeasurementModel, seed: int, trial: int) -> Realization:
 # Model builders used by the experiment harness and the CLI
 # ---------------------------------------------------------------------------
 
-def gaussian_model(
-    N: int,
-    p: int,
-    theta,
-    sigma2: float,
-    seed: int,
-    rank_rtol: float = DEFAULT_RANK_RTOL,
-) -> MeasurementModel:
+def gaussian_model(N: int, p: int, theta, sigma2: float, seed: int) -> MeasurementModel:
     """Model with H drawn once from i.i.d. standard normal entries."""
     rng = _aux_rng(seed, 1)
     H = rng.standard_normal((N, p))
-    return MeasurementModel(H=H, theta=theta, sigma2=sigma2, rank_rtol=rank_rtol)
+    return MeasurementModel(H=H, theta=theta, sigma2=sigma2)
 
 
-def spectrum_model(
-    N: int,
-    spectrum,
-    theta,
-    sigma2: float,
-    seed: int,
-    rank_rtol: float = DEFAULT_RANK_RTOL,
-) -> MeasurementModel:
+def spectrum_model(N: int, spectrum, theta, sigma2: float, seed: int) -> MeasurementModel:
     """Model whose H has prescribed singular values and random singular
     vectors (orthonormal factors from QR of Gaussian draws)."""
     spectrum = np.asarray(spectrum, dtype=float).reshape(-1)
@@ -210,16 +196,10 @@ def spectrum_model(
     Q1, _ = np.linalg.qr(rng.standard_normal((N, p)))
     Q2, _ = np.linalg.qr(rng.standard_normal((p, p)))
     H = (Q1 * spectrum) @ Q2.T
-    return MeasurementModel(H=H, theta=theta, sigma2=sigma2, rank_rtol=rank_rtol)
+    return MeasurementModel(H=H, theta=theta, sigma2=sigma2)
 
 
-def planted_model(
-    N: int,
-    coefficients,
-    sigma2: float,
-    seed: int,
-    rank_rtol: float = DEFAULT_RANK_RTOL,
-) -> MeasurementModel:
+def planted_model(N: int, coefficients, sigma2: float, seed: int) -> MeasurementModel:
     """Model whose signal has prescribed energies along the left singular
     vectors of H.
 
@@ -238,4 +218,4 @@ def planted_model(
     spectrum = np.linspace(2.0, 1.0, p)
     H = (Q1 * spectrum) @ Q2.T
     theta = Q2 @ (c / spectrum)
-    return MeasurementModel(H=H, theta=theta, sigma2=sigma2, rank_rtol=rank_rtol)
+    return MeasurementModel(H=H, theta=theta, sigma2=sigma2)

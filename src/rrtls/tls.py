@@ -23,12 +23,13 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateSolutionError, NonUniqueTlsError
-from .ls import _check_rule_inputs, ls_reduced, tail_sums
+from .ls import _check_rule_inputs, ls_reduced, risk_objective, tail_sums
 from .model import MeasurementModel, _frozen_array
 from .svdtools import OrderedBasis, SvdFactorization, svd
 
-DEFAULT_GAP_RTOL = 1e-10
-DEFAULT_DEGENERACY_RTOL = 1e-12
+# Relative thresholds of the TLS rejection checks (``_rejection_codes``).
+GAP_RTOL = 1e-10
+DEGENERACY_RTOL = 1e-12
 
 Q_MODES = ("oracle", "bound")
 
@@ -100,30 +101,26 @@ class NormDependenceCertificate:
         object.__setattr__(self, "q_stars", _frozen_array(self.q_stars, dtype=int))
 
 
-def _rejection_codes(S, core_svals, gap_rtol: float, degeneracy_rtol: float) -> np.ndarray:
+def _rejection_codes(S, core_svals) -> np.ndarray:
     """Error code of each TLS problem, ``""`` when it has a unique,
     nondegenerate solution, elementwise over stacked problems.
 
     ``S`` (..., p + 1) are the singular values of the augmented matrix
     ``[H_tilde, y]`` and ``core_svals`` (..., p) those of the core
     ``U_s' H_tilde``.  The solution is unique when ``sigma_p > sigma_{p+1}``
-    (judged relative to the largest singular value) and yields a parameter
-    estimate when the core is nonsingular (Golub & Van Loan, SIAM J. Numer.
-    Anal. 17, 1980); a problem failing both is nonunique.
+    (judged relative to the largest singular value, ``GAP_RTOL``) and yields
+    a parameter estimate when the core is nonsingular (``DEGENERACY_RTOL``;
+    Golub & Van Loan, SIAM J. Numer. Anal. 17, 1980); a problem failing
+    both is nonunique.
     """
     p = S.shape[-1] - 1
-    nonunique = S[..., p - 1] - S[..., p] <= gap_rtol * S[..., 0]
-    degenerate = core_svals[..., -1] <= degeneracy_rtol * np.maximum(core_svals[..., 0], 1.0)
+    nonunique = S[..., p - 1] - S[..., p] <= GAP_RTOL * S[..., 0]
+    degenerate = core_svals[..., -1] <= DEGENERACY_RTOL * np.maximum(core_svals[..., 0], 1.0)
     return np.where(nonunique, NonUniqueTlsError.code,
                     np.where(degenerate, DegenerateSolutionError.code, ""))
 
 
-def tls_solve(
-    H_tilde,
-    y,
-    gap_rtol: float = DEFAULT_GAP_RTOL,
-    degeneracy_rtol: float = DEFAULT_DEGENERACY_RTOL,
-) -> TlsEstimate:
+def tls_solve(H_tilde, y) -> TlsEstimate:
     """Solve the TLS problem from the SVD of the augmented matrix.
 
     With ``[U_s, u_s]`` the left singular vectors of ``[H_tilde, y]``
@@ -138,12 +135,13 @@ def tls_solve(
     ------
     NonUniqueTlsError
         If the two smallest singular values are too close
-        (gap <= gap_rtol * largest), so the discarded direction is
-        ill-defined.
+        (gap <= ``GAP_RTOL`` (1e-10) times the largest), so the discarded
+        direction is ill-defined.
     DegenerateSolutionError
-        If the corrected system matrix is numerically rank deficient
-        (the classical pathology of a vanishing last component in the
-        smallest right singular vector).
+        If the corrected system matrix is numerically rank deficient: its
+        smallest singular value is at or below ``DEGENERACY_RTOL`` (1e-12)
+        times the larger of its largest and 1 (the classical pathology of
+        a vanishing last component in the smallest right singular vector).
     """
     H_tilde = np.asarray(H_tilde, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -159,11 +157,11 @@ def tls_solve(
     Us = f.U[:, :p]
     core = Us.T @ H_tilde
     core_svals = np.linalg.svd(core, compute_uv=False)
-    code = _rejection_codes(f.S, core_svals, gap_rtol, degeneracy_rtol)
+    code = _rejection_codes(f.S, core_svals)
     if code == NonUniqueTlsError.code:
         raise NonUniqueTlsError(
             f"no strictly smallest singular value: gap {gap:.6e} <= "
-            f"{gap_rtol:g} * {f.S[0]:.6e}"
+            f"{GAP_RTOL:g} * {f.S[0]:.6e}"
         )
     if code == DegenerateSolutionError.code:
         raise DegenerateSolutionError(
@@ -191,8 +189,7 @@ def tls_factor_stack(A):
     matrix (b, N, p + 1), retained columns first and the discarded one
     last, with no sign convention (every consumer is sign invariant); the
     cores ``U_s' H_tilde`` (b, p, p); and per row the code of the error
-    :func:`tls_solve` raises on that problem at its default tolerances,
-    ``""`` for a solved row.
+    :func:`tls_solve` raises on that problem, ``""`` for a solved row.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 3 or A.shape[1] < A.shape[2]:
@@ -202,8 +199,7 @@ def tls_factor_stack(A):
     p = A.shape[2] - 1
     U, S, _ = np.linalg.svd(A, full_matrices=False)
     core = np.swapaxes(U[..., :p], 1, 2) @ A[..., :p]
-    codes = _rejection_codes(S, np.linalg.svd(core, compute_uv=False),
-                             DEFAULT_GAP_RTOL, DEFAULT_DEGENERACY_RTOL)
+    codes = _rejection_codes(S, np.linalg.svd(core, compute_uv=False))
     return U, core, codes
 
 
@@ -276,8 +272,9 @@ def q_objective_bias_recipe(scores, sigma2: float, p: int, theta_norm2: float) -
     least-squares bias-correction recipe on the p + 1 augmented columns
     with the compound noise variance:
 
-    values[q] = sum_{j>q} scores[j] + sigma2*(1+t)*(2q - (p+1)).
+    values[q] = sum_{j>q} scores[j] + sigma2*(1+t)*(2q - (p+1)),
 
+    the first p values of ``ls.risk_objective(scores, sigma2 * (1 + t))``.
     The primary rule (:func:`q_objective`) uses a different correction
     term; the harness reports both selections side by side so the
     difference is visible rather than silently reconciled.
@@ -286,21 +283,17 @@ def q_objective_bias_recipe(scores, sigma2: float, p: int, theta_norm2: float) -
     if scores.shape[0] != p + 1:
         raise ValueError(f"expected p + 1 = {p + 1} scores, got {scores.shape[0]}")
     _check_rule_inputs(scores, sigma2, theta_norm2)
-    return _bias_recipe_values(scores, sigma2, p, float(theta_norm2))
+    return risk_objective(scores, sigma2 * (1.0 + float(theta_norm2)))[:p]
 
-
-# The two rank objectives along the last axis of augmented scores
-# (..., p + 1); the parameter norm t broadcasts against the leading axes,
-# so a (G, 1, 1) grid of norms over (b, p + 1) scores gives (G, b, p).
 
 def _q_values(scores, sigma2: float, p: int, t):
+    """The primary rank objective along the last axis of augmented scores
+    (..., p + 1); the parameter norm t broadcasts against the leading axes,
+    so a (G, 1, 1) grid of norms over (b, p + 1) scores gives (G, b, p).
+    The bias recipe is ``risk_objective(scores, sigma2 * (1 + t))[..., :p]``,
+    which broadcasts the same way."""
     q = np.arange(1, p + 1)
     return (tail_sums(scores)[..., :p] + sigma2 * (1.0 + t) * (2 * q + p)) / (1.0 + t)
-
-
-def _bias_recipe_values(scores, sigma2: float, p: int, t):
-    q = np.arange(1, p + 1)
-    return tail_sums(scores)[..., :p] + sigma2 * (1.0 + t) * (2 * q - (p + 1))
 
 
 def norm_dependence_certificate(theta_norm2_grid: Sequence[float], scores, sigma2: float, p: int) -> NormDependenceCertificate:

@@ -105,12 +105,25 @@ def test_paired_realizations_across_families():
     assert np.array_equal(a.sel_freq, b.sel_freq)
 
 
-def test_streaming_matches_batch_recomputation():
-    spec = ExperimentSpec(
-        model=small_model(), family="rrls", trials=400, seed=15, keep_samples=True
-    )
+def _spy_sq_rows(monkeypatch):
+    """Record the per-rank squared errors (b, p) of every chunk the engine
+    merges into its totals, in merge order (trial order)."""
+    rows = []
+    add_chunk = harness_mod._Accumulator.add_chunk
+
+    def spy(self, sq, r_index, **blocks):
+        rows.append(sq)
+        add_chunk(self, sq, r_index, **blocks)
+
+    monkeypatch.setattr(harness_mod._Accumulator, "add_chunk", spy)
+    return rows
+
+
+def test_streaming_matches_batch_recomputation(monkeypatch):
+    rows = _spy_sq_rows(monkeypatch)
+    spec = ExperimentSpec(model=small_model(), family="rrls", trials=400, seed=15)
     res = run(spec)
-    raw = res.raw_sq_err
+    raw = np.concatenate(rows)
     assert raw.shape == (400, 4)
     np.testing.assert_allclose(res.mse_emp, raw.mean(axis=0), rtol=1e-10)
     np.testing.assert_allclose(
@@ -136,6 +149,23 @@ def test_rank_policy_validation():
         ExperimentSpec(model=model, family="nope", trials=10, seed=1)
     with pytest.raises(ValueError, match="bound"):
         ExperimentSpec(model=model, family="rrtls", trials=10, seed=1, tls_mode="bound")
+
+
+@pytest.mark.parametrize(
+    "family, tls_mode, bound, message",
+    [
+        ("rrls", "bound", 3.0, "tls_mode must be 'oracle'"),
+        ("ls", "bound", 1.0, "tls_mode must be 'oracle'"),
+        ("ls", "oracle", 1.0, "bound is only used in bound mode"),
+        ("rrtls", "oracle", 3.0, "bound is only used in bound mode"),
+        ("tls", "oracle", 0.0, "bound is only used in bound mode"),
+    ],
+    ids=["rrls-bound-mode", "ls-bound-mode", "ls-bound", "rrtls-oracle-bound", "tls-oracle-bound"],
+)
+def test_spec_rejects_settings_it_would_ignore(family, tls_mode, bound, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(model=tls_model(), family=family, trials=10, seed=1,
+                       tls_mode=tls_mode, bound=bound)
 
 
 def test_failures_are_counted_not_imputed(monkeypatch):
@@ -165,10 +195,11 @@ def test_kept_rows_keep_their_shape_when_every_trial_is_rejected(monkeypatch):
         return U, core, np.full(codes.shape, NonUniqueTlsError.code)
 
     monkeypatch.setattr(harness_mod, "tls_factor_stack", reject_all)
-    spec = ExperimentSpec(model=tls_model(), family="rrtls", trials=10, seed=69, keep_samples=True)
+    rows = _spy_sq_rows(monkeypatch)
+    spec = ExperimentSpec(model=tls_model(), family="rrtls", trials=10, seed=69)
     res = run(spec)
     assert res.completed == 0 and res.failures == {"nonunique-tls": 10}
-    assert res.raw_sq_err.shape == (0, 4)
+    assert rows == []  # no chunk merges rows into the totals
 
 
 def test_vecstats_merge_matches_streaming():
@@ -244,6 +275,26 @@ def test_chi_square_insufficient_data():
         verify_chi_square(np.ones((100, 4)), 1.0, dof=4)
 
 
+@pytest.mark.parametrize(
+    "sigma2, dof, entry, message",
+    [
+        (float("nan"), 4, 1.0, "sigma2 must be finite"),
+        (float("inf"), 4, 1.0, "sigma2 must be finite"),
+        (1.0, 4, float("nan"), "entries must be finite"),
+        (1.0, 4, float("inf"), "entries must be finite"),
+        (1.0, 0, 1.0, "dof must be a positive integer"),
+        (1.0, -1, 1.0, "dof must be a positive integer"),
+        (1.0, 2.5, 1.0, "dof must be a positive integer"),
+    ],
+    ids=["sigma2-nan", "sigma2-inf", "entry-nan", "entry-inf", "dof-0", "dof-negative", "dof-fraction"],
+)
+def test_chi_square_rejects_invalid_inputs(sigma2, dof, entry, message):
+    errors = np.ones((harness_mod.MIN_SAMPLES, 4))
+    errors[0, 0] = entry
+    with pytest.raises(ValueError, match=message):
+        verify_chi_square(errors, sigma2, dof=dof)
+
+
 # ---------------------------------------------------------------------------
 # selection-rule comparison and the norm-dependence witness
 # ---------------------------------------------------------------------------
@@ -309,10 +360,10 @@ def _tails(v):
 # the engine's stacked solver (``_inject_flaky_stack``).
 
 def _flaky(solve):
-    def flaky_solve(H_tilde, y, **kwargs):
+    def flaky_solve(H_tilde, y):
         if int(np.floor(abs(y[0]) * 1e6)) % 5 == 0:
             raise NonUniqueTlsError("injected")
-        return solve(H_tilde, y, **kwargs)
+        return solve(H_tilde, y)
 
     return flaky_solve
 
@@ -358,20 +409,7 @@ def test_additive_run_matches_per_trial_reference():
     model = small_model()
     spec = ExperimentSpec(model=model, family="rrls", trials=300, seed=41)
     res = run(spec)
-    p, x, sigma2 = model.p, model.x, model.sigma2
-    ranks = np.arange(1, p + 1)
-    U = svd(model.H).U
-    counts = np.zeros(p, dtype=np.int64)
-    sq, auto = [], []
-    for t in range(spec.trials):
-        y = sample_ls(model, spec.seed, t).y
-        basis = order_by_scores(U, y)
-        r_star = select_rank_ls(basis, sigma2, p).r_star
-        counts[r_star - 1] += 1
-        errs = [ls_reduced(basis, y, r) - x for r in ranks]
-        sq.append([float(e @ e) for e in errs])
-        auto.append(sq[-1][r_star - 1])
-    theory = _tails(order_by_scores(U, x).scores) + ranks * sigma2
+    counts, sq, auto, _, theory = _additive_reference(spec)
     _assert_matches_reference(res, counts, {}, sq, auto, theory)
 
 
@@ -380,27 +418,7 @@ def test_errors_in_variables_run_matches_per_trial_reference(monkeypatch):
     model = tls_model(sigma2=0.09)
     spec = ExperimentSpec(model=model, family="rrtls", trials=300, seed=43)
     res = run(spec)
-    p, x, sigma2, t_val = model.p, model.x, model.sigma2, model.theta_norm2
-    ranks = np.arange(1, p + 1)
-    counts = np.zeros(p, dtype=np.int64)
-    alt_counts = np.zeros(p, dtype=np.int64)
-    failures = {}
-    sq, auto, theory = [], [], []
-    for t in range(spec.trials):
-        front = _replay_tls_front(model, spec.seed, t, solve, failures)
-        if front is None:
-            continue
-        y, est, basis, scores = front
-        q_star = q_objective(scores, sigma2, p, t_val, "oracle").q_star
-        counts[q_star - 1] += 1
-        alt_counts[int(np.argmin(q_objective_bias_recipe(scores, sigma2, p, t_val)))] += 1
-        errs = [tls_reduced(basis, y, q) - x for q in ranks]
-        noise = [tls_reduced(basis, y - x, q) for q in ranks]
-        bias = [x - tls_reduced(basis, x, q) for q in ranks]
-        sq.append([float(n @ n + b @ b) for n, b in zip(noise, bias)])
-        auto.append(sq[-1][q_star - 1])
-        d = np.append(basis.columns.T @ x, est.discarded_column @ x)
-        theory.append(_tails(d * d)[:p] + ranks * sigma2)
+    counts, alt_counts, failures, sq, auto, theory, _ = _eiv_run_reference(spec, solve)
     assert failures.get("nonunique-tls", 0) > 0
     _assert_matches_reference(res, counts, failures, sq, auto, np.mean(theory, axis=0))
     assert np.array_equal(res.sel_freq_alt, alt_counts / len(sq))
@@ -412,24 +430,7 @@ def test_selection_comparison_matches_per_trial_reference(monkeypatch):
     spec = ExperimentSpec(model=model, family="rrtls", trials=200, seed=31)
     grid = [0.0, 1.0, 30.0]
     comp = compare_selection_rules(spec, grid)
-    p, sigma2 = model.p, model.sigma2
-    counts = np.zeros((len(grid), p), dtype=np.int64)
-    counts_alt = np.zeros_like(counts)
-    failures = {}
-    witness = None
-    for t in range(spec.trials):
-        front = _replay_tls_front(model, spec.seed, t, solve, failures)
-        if front is None:
-            continue
-        scores = front[3]
-        q = [q_objective(scores, sigma2, p, g, "oracle").q_star for g in grid]
-        for i, g in enumerate(grid):
-            counts[i, q[i] - 1] += 1
-            counts_alt[i, int(np.argmin(q_objective_bias_recipe(scores, sigma2, p, g)))] += 1
-        moved = [i for i in range(len(grid)) if q[i] != q[0]]
-        if witness is None and moved:
-            i = moved[0]
-            witness = {"trial": t, "t1": grid[0], "t2": grid[i], "q1": q[0], "q2": q[i]}
+    counts, counts_alt, failures, witness = _grid_reference(spec, grid, solve)
     completed = spec.trials - sum(failures.values())
     assert failures.get("nonunique-tls", 0) > 0 and witness is not None
     assert comp.completed == completed
@@ -532,46 +533,31 @@ def test_additive_chunks_match_per_trial_reference(N, p, sigma2, trials):
     _assert_additive_matches_reference(run(spec), spec)
 
 
-def test_kept_rows_follow_trial_order_across_chunks():
+def test_kept_rows_follow_trial_order_across_chunks(monkeypatch):
+    rows = _spy_sq_rows(monkeypatch)
     N = 8192
     model = gaussian_model(N=N, p=3, theta=[1.0, -0.5, 0.25], sigma2=0.25, seed=49)
     trials = 2 * _chunk(N) + 3
-    spec = ExperimentSpec(model=model, family="rrls", trials=trials, seed=49, keep_samples=True)
+    spec = ExperimentSpec(model=model, family="rrls", trials=trials, seed=49)
     res = run(spec)
     sq = _assert_additive_matches_reference(res, spec)
-    assert res.raw_sq_err.shape == (trials, 3)
-    np.testing.assert_allclose(res.raw_sq_err, sq, rtol=1e-12)
+    raw = np.concatenate(rows)
+    assert raw.shape == (trials, 3)
+    np.testing.assert_allclose(raw, sq, rtol=1e-12)
 
 
 def test_errors_in_variables_chunks_match_per_trial_reference(monkeypatch):
     solve = _inject_flaky_stack(monkeypatch)
+    rows = _spy_sq_rows(monkeypatch)
     N = 4096
     model = gaussian_model(N=N, p=2, theta=[0.6, -0.8], sigma2=0.01, seed=51)
     trials = 2 * _chunk(N) + 5
-    spec = ExperimentSpec(model=model, family="rrtls", trials=trials, seed=51, keep_samples=True)
+    spec = ExperimentSpec(model=model, family="rrtls", trials=trials, seed=51)
     res = run(spec)
-    p, x, sigma2, t_val = model.p, model.x, model.sigma2, model.theta_norm2
-    ranks = np.arange(1, p + 1)
-    counts = np.zeros(p, dtype=np.int64)
-    failures = {}
-    sq, auto, theory = [], [], []
-    for t in range(trials):
-        front = _replay_tls_front(model, spec.seed, t, solve, failures)
-        if front is None:
-            continue
-        y, est, basis, scores = front
-        q_star = q_objective(scores, sigma2, p, t_val, "oracle").q_star
-        counts[q_star - 1] += 1
-        errs = [tls_reduced(basis, y, q) - x for q in ranks]
-        noise = [tls_reduced(basis, y - x, q) for q in ranks]
-        bias = [x - tls_reduced(basis, x, q) for q in ranks]
-        sq.append([float(n @ n + b @ b) for n, b in zip(noise, bias)])
-        auto.append(sq[-1][q_star - 1])
-        d = np.append(basis.columns.T @ x, est.discarded_column @ x)
-        theory.append(_tails(d * d)[:p] + ranks * sigma2)
+    counts, _, failures, sq, auto, theory, _ = _eiv_run_reference(spec, solve)
     assert failures.get("nonunique-tls", 0) > 0
     _assert_matches_reference(res, counts, failures, sq, auto, np.mean(theory, axis=0))
-    np.testing.assert_allclose(res.raw_sq_err, np.array(sq), rtol=1e-12)
+    np.testing.assert_allclose(np.concatenate(rows), sq, rtol=1e-12)
 
 
 def test_risk_estimate_aggregates_the_corrected_bias_statistic():
@@ -745,14 +731,16 @@ def _assert_grid_matches_reference(comp, spec, grid, solve):
                          ids=["p1-N-equals-p-plus-1-noiseless", "p2-noisy"])
 def test_errors_in_variables_chunk_boundaries_match_reference(monkeypatch, N, p, sigma2):
     solve = _inject_flaky_stack(monkeypatch) if sigma2 else tls_solve
+    rows = _spy_sq_rows(monkeypatch)
     model = gaussian_model(N=N, p=p, theta=np.linspace(1.0, -0.5, p), sigma2=sigma2, seed=63)
     trials = 2 * _chunk(N * (p + 1)) + 3
-    spec = ExperimentSpec(model=model, family="rrtls", trials=trials, seed=63, keep_samples=True)
+    spec = ExperimentSpec(model=model, family="rrtls", trials=trials, seed=63)
     res = run(spec)
     sq = _assert_eiv_matches_reference(res, spec, solve)
-    assert res.raw_sq_err.shape == (sq.shape[0], p)
+    raw = np.concatenate(rows)
+    assert raw.shape == (sq.shape[0], p)
     scale = float(model.x @ model.x)
-    np.testing.assert_allclose(res.raw_sq_err, sq, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(raw, sq, rtol=1e-12, atol=1e-12 * scale)
     grid = [0.0, 1.0, 30.0]
     _assert_grid_matches_reference(compare_selection_rules(spec, grid), spec, grid, solve)
 
