@@ -7,13 +7,16 @@ estimate
     matrix); prints the parameter estimate, the signal estimate, the
     selected rank and the per-rank objective table.
 sweep
-    Monte Carlo rank sweep driven by a JSON config; emits one row per rank
-    with the columns family, r, trials, mse_emp, mse_se, mse_theory,
-    rstar_freq, pass.  The family label picks the observation model
-    (additive for ls/rrls, errors-in-variables for tls/rrtls); trials run
-    in order, so a seed fixes the output bytes.  A config with a ``grid``
-    entry instead emits the JSON selection-rule comparison report
-    (norm-dependence flag included).
+    Monte Carlo rank sweep driven by a JSON config, parsed into an
+    ``ExperimentSpec`` whose rules check the family, trial count and TLS
+    mode; emits one row per rank with the columns family, r, trials,
+    mse_emp, mse_se, mse_theory, rstar_freq, pass.  The family label picks
+    the observation model (additive for ls/rrls, errors-in-variables for
+    tls/rrtls); trials run in order, so a seed fixes the output bytes.  A
+    config with a ``grid`` entry instead emits the JSON selection-rule
+    comparison report (norm-dependence flag included).  The output goes to
+    stdout, or to ``--out``, beside which a rank sweep adds the
+    ``.scores.json`` sidecar.
 verify
     Runs the built-in acceptance suite and prints one pass/fail line per
     criterion; exit status 0 only if every criterion passed.
@@ -26,6 +29,7 @@ name is printed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -35,7 +39,7 @@ import numpy as np
 
 from . import acceptance
 from .errors import ConfigError, RrtlsError
-from .harness import ADDITIVE, OBSERVATION_MODEL, ExperimentSpec, compare_selection_rules, run
+from .harness import ADDITIVE, ExperimentSpec, compare_selection_rules, run
 from .ls import ls_full, select_rank_ls
 from .model import MeasurementModel, gaussian_model, spectrum_model
 from .svdtools import order_by_scores, svd
@@ -62,17 +66,16 @@ def _reject_constant(name: str):
 def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_constant=_reject_constant)
+            return json.load(fh, parse_constant=_reject_constant)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    return cfg
 
 
-def _check_keys(d: dict, allowed, required, context: str) -> None:
+def _check_keys(d, allowed, required, context: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{context} must be a JSON object")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in {context}: {', '.join(unknown)}")
@@ -239,7 +242,7 @@ def _result_json(res) -> dict:
     rows = [
         dict(zip(acceptance.SWEEP_HEADER, row)) for row in acceptance.sweep_rows(res)
     ]
-    doc = {
+    return {
         "family": res.family,
         "trials": res.trials,
         "completed": res.completed,
@@ -251,36 +254,20 @@ def _result_json(res) -> dict:
         "sel_freq": res.sel_freq,
         "sel_freq_bias_recipe": res.sel_freq_alt,
         "tls_full_formula_mean": res.tls_full_formula_mean,
+        "moments": None if res.moments is None else dataclasses.asdict(res.moments),
     }
-    if res.moments is not None:
-        m = res.moments
-        doc["moments"] = {
-            "n": m.n,
-            "dof": m.dof,
-            "mean": m.mean,
-            "mean_se": m.mean_se,
-            "variance": m.variance,
-            "variance_se": m.variance_se,
-            "mean_ok": m.mean_ok,
-            "var_ok": m.var_ok,
-        }
-    else:
-        doc["moments"] = None
-    return doc
 
 
 def _scores_sidecar(spec: ExperimentSpec, res) -> dict:
-    doc = {
+    scores = None
+    if spec.observation == ADDITIVE:
+        scores = order_by_scores(svd(spec.model.H).U, spec.model.x).scores
+    return {
         "family": res.family,
         "sigma2": spec.model.sigma2,
         "mse_theory": res.mse_theory,
+        "oracle_scores": scores,
     }
-    if spec.observation == ADDITIVE:
-        basis = order_by_scores(svd(spec.model.H).U, spec.model.x)
-        doc["oracle_scores"] = basis.scores
-    else:
-        doc["oracle_scores"] = None
-    return doc
 
 
 def cmd_sweep(args) -> int:
@@ -289,52 +276,42 @@ def cmd_sweep(args) -> int:
         cfg,
         allowed={
             "family", "trials", "seed", "model", "rank_policy", "tls_mode",
-            "grid", "out", "format", "verbosity",
+            "grid", "out", "format",
         },
         required={"family", "trials", "seed", "model"},
         context="config",
     )
-    family = cfg["family"]
-    trials = _integer(cfg, "trials", "config", minimum=1)
     seed = args.seed if args.seed is not None else _integer(cfg, "seed", "config", minimum=0)
     fmt = args.format or cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     out = args.out or cfg.get("out")
-    verbosity = cfg.get("verbosity", 0)
-    if not isinstance(verbosity, int) or isinstance(verbosity, bool):
-        raise ConfigError("config.verbosity must be an integer")
-
-    model = _build_model(cfg["model"], seed)
-    tls_mode = "oracle"
-    bound = None
-    if "tls_mode" in cfg:
-        if OBSERVATION_MODEL.get(family) == ADDITIVE:
-            raise ConfigError("'tls_mode' is only valid for families tls/rrtls")
-        sub = cfg["tls_mode"]
-        _check_keys(sub, {"mode", "bound"}, {"mode"}, "tls_mode")
-        tls_mode = sub["mode"]
-        if tls_mode == "bound":
-            bound = _number(sub, "bound", "tls_mode", minimum=0.0)
-        elif tls_mode != "oracle":
-            raise ConfigError(f"tls_mode.mode must be oracle or bound, got {tls_mode!r}")
-        elif "bound" in sub:
-            raise ConfigError("tls_mode.bound is only valid with mode 'bound'")
     # Every rank arm is reported, with the data-driven selection beside it;
     # the key is accepted for configs that state that explicitly.
     if cfg.get("rank_policy", "auto") != "auto":
         raise ConfigError("config.rank_policy must be 'auto'")
-    spec = ExperimentSpec(
-        model=model,
-        family=family,
-        trials=trials,
-        seed=seed,
-        tls_mode=tls_mode,
-        bound=bound,
-    )
+    # Shape and types only: the mode and bound rules are ExperimentSpec's.
+    tls_mode = cfg.get("tls_mode", {"mode": "oracle"})
+    _check_keys(tls_mode, {"mode", "bound"}, {"mode"}, "tls_mode")
+    bound = _number(tls_mode, "bound", "tls_mode") if "bound" in tls_mode else None
+
+    model = _build_model(cfg["model"], seed)
+    try:
+        spec = ExperimentSpec(
+            model=model,
+            family=cfg["family"],
+            trials=cfg["trials"],
+            seed=seed,
+            tls_mode=tls_mode["mode"],
+            bound=bound,
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    if "tls_mode" in cfg and spec.observation == ADDITIVE:
+        raise ConfigError("'tls_mode' is only valid for families tls/rrtls")
 
     if "grid" in cfg:
-        if family != "rrtls":
+        if spec.family != "rrtls":
             raise ConfigError("'grid' requires family 'rrtls'")
         if fmt != "json":
             raise ConfigError("grid comparison reports are emitted as json only")
@@ -342,9 +319,9 @@ def cmd_sweep(args) -> int:
         if not isinstance(grid, list) or not grid:
             raise ConfigError("config.grid must be a non-empty list of numbers")
         comp = compare_selection_rules(spec, _numbers(grid, "config.grid", minimum=0.0))
-        doc = {
-            "family": family,
-            "trials": trials,
+        text = json_text({
+            "family": spec.family,
+            "trials": spec.trials,
             "completed": comp.completed,
             "seed": seed,
             "failures": comp.failures,
@@ -353,29 +330,21 @@ def cmd_sweep(args) -> int:
             "q_star_freq_bias_recipe": comp.q_star_freq_alt,
             "theta_dependent": comp.theta_dependent,
             "witness": comp.witness,
-        }
-        text = json_text(doc)
-        if out:
-            write_text(out, text)
-            if verbosity:
-                print(f"wrote {out}")
-        else:
-            sys.stdout.write(text)
-        return 0
-
-    res = run(spec)
-    if fmt == "csv":
-        text = csv_text(acceptance.SWEEP_HEADER, acceptance.sweep_rows(res))
+        })
     else:
-        text = json_text(_result_json(res))
-    if out:
-        write_text(out, text)
+        res = run(spec)
+        if fmt == "csv":
+            text = csv_text(acceptance.SWEEP_HEADER, acceptance.sweep_rows(res))
+        else:
+            text = json_text(_result_json(res))
+
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    write_text(out, text)
+    if "grid" not in cfg:
         stem, _ = os.path.splitext(out)
         write_text(stem + ".scores.json", json_text(_scores_sidecar(spec, res)))
-        if verbosity:
-            print(f"wrote {out}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 

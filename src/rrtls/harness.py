@@ -41,6 +41,7 @@ from .ls import risk_objective, select_rank_ls, tail_sums  # noqa: F401
 from .model import MeasurementModel, sample_ls, sample_tls, _aux_rng
 from .svdtools import check_orthonormal, order_by_scores, svd
 from .tls import (  # noqa: F401
+    Q_MODES,
     _q_values,
     _tls_full_mse,
     augmented_scores,
@@ -181,10 +182,11 @@ class VecStats:
 class ExperimentSpec:
     """What to simulate: model, estimator family, trial budget and seed.
 
-    ``tls_mode``/``bound`` choose how the reduced-TLS selection objective
-    obtains the squared parameter norm (the oracle value from the model, or
-    a caller-supplied upper bound); additive families take only the oracle
-    mode, and a bound is given exactly in bound mode.
+    ``tls_mode`` (one of ``tls.Q_MODES``) and ``bound`` choose how the
+    reduced-TLS selection objective obtains the squared parameter norm (the
+    oracle value from the model, or a caller-supplied upper bound); additive
+    families take only the oracle mode, and a bound is given exactly in
+    bound mode.
     """
 
     model: MeasurementModel
@@ -209,8 +211,8 @@ class ExperimentSpec:
                 f"family {self.family!r} needs N >= p + 1 rows for the augmented "
                 f"matrix [H_tilde, y], got N={N}, p={p}"
             )
-        if self.tls_mode not in ("oracle", "bound"):
-            raise ValueError(f"tls_mode must be 'oracle' or 'bound', got {self.tls_mode!r}")
+        if self.tls_mode not in Q_MODES:
+            raise ValueError(f"tls_mode must be one of {Q_MODES}, got {self.tls_mode!r}")
         if self.bound is not None and not math.isfinite(self.bound):
             raise ValueError(f"bound must be finite, got {self.bound!r}")
         if self.observation == ADDITIVE and self.tls_mode != "oracle":

@@ -32,6 +32,11 @@ from .errors import ModelInvalidError
 RANK_RTOL = 1e-10
 
 
+def _check_shape(N: int, p: int) -> None:
+    if not (1 <= p <= N):
+        raise ModelInvalidError(f"need 1 <= p <= N, got N={N}, p={p}")
+
+
 def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
@@ -88,8 +93,7 @@ class MeasurementModel:
         if H.ndim != 2:
             raise ModelInvalidError(f"H must be 2-D, got shape {H.shape}")
         N, p = H.shape
-        if not (1 <= p <= N):
-            raise ModelInvalidError(f"need 1 <= p <= N, got N={N}, p={p}")
+        _check_shape(N, p)
         if theta.shape[0] != p:
             raise ModelInvalidError(
                 f"theta has length {theta.shape[0]}, expected p={p}"
@@ -190,6 +194,7 @@ def spectrum_model(N: int, spectrum, theta, sigma2: float, seed: int) -> Measure
     vectors (orthonormal factors from QR of Gaussian draws)."""
     spectrum = np.asarray(spectrum, dtype=float).reshape(-1)
     p = spectrum.shape[0]
+    _check_shape(N, p)
     if np.any(spectrum <= 0):
         raise ModelInvalidError("prescribed singular values must be positive")
     rng = _aux_rng(seed, 2)
@@ -210,6 +215,7 @@ def planted_model(N: int, coefficients, sigma2: float, seed: int) -> Measurement
     """
     c = np.asarray(coefficients, dtype=float).reshape(-1)
     p = c.shape[0]
+    _check_shape(N, p)
     rng = _aux_rng(seed, 3)
     Q1, _ = np.linalg.qr(rng.standard_normal((N, p)))
     Q2, _ = np.linalg.qr(rng.standard_normal((p, p)))

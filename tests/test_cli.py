@@ -336,6 +336,29 @@ def test_sweep_byte_identical_across_processes(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"family": "rrtls", "format": "json", "grid": [0.0, 30.0],
+         "model": {"kind": "gaussian", "N": 16, "p": 4, "theta": [0.6, -0.3, 0.2, 0.5],
+                   "sigma2": 0.25}},
+    ],
+    ids=["run", "grid"],
+)
+def test_sweep_out_file_matches_stdout(tmp_path, capsys, overrides):
+    # one output tail: --out receives the bytes stdout would, and only a
+    # rank sweep adds the scores sidecar
+    cfg = sweep_config(tmp_path, trials=100, **overrides)
+    assert main(["sweep", "--config", cfg]) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "table.out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode("utf-8")
+    assert (tmp_path / "table.scores.json").exists() == ("grid" not in overrides)
+
+
 def test_float_formatting_round_trips():
     from rrtls.textio import format_float
 
@@ -479,3 +502,60 @@ def test_sweep_rejects_errors_in_variables_without_spare_row(tmp_path, capsys, n
                        {"family": "rrtls", "trials": 20, "seed": 3, "model": model, **extra})
     assert main(["sweep", "--config", cfg]) == 2
     assert "needs N >= p + 1 rows" in capsys.readouterr().err
+
+
+def test_sweep_rejects_more_singular_values_than_rows(tmp_path, capsys, no_draws):
+    model = {"kind": "spectrum", "N": 3, "spectrum": [2, 1.5, 1.25, 1],
+             "theta": [1.0, -0.5, 0.25, 2.0], "sigma2": 0.25}
+    cfg = sweep_config(tmp_path, model=model)
+    assert main(["sweep", "--config", cfg]) == 3
+    assert "error: model-invalid: need 1 <= p <= N, got N=3, p=4" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# sub-configs must be objects, and the TLS-mode rules are ExperimentSpec's
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ([TLS_SWEEP], "config must be a JSON object"),
+        ({**TLS_SWEEP, "model": 5}, "model must be a JSON object"),
+        ({**TLS_SWEEP, "tls_mode": 5}, "tls_mode must be a JSON object"),
+        ({**TLS_SWEEP, "tls_mode": "oracle"}, "tls_mode must be a JSON object"),
+        ({**TLS_SWEEP, "family": ["rrtls"], "tls_mode": {"mode": "oracle"}},
+         "family must be one of"),
+    ],
+    ids=["config-list", "model-int", "tls-mode-int", "tls-mode-str", "family-list"],
+)
+def test_sweep_rejects_non_object_configs(tmp_path, capsys, no_draws, cfg, message):
+    if isinstance(cfg, dict):
+        cfg = {"trials": 20, "seed": 3, **cfg}
+    assert main(["sweep", "--config", write_config(tmp_path / "sweep.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: config:" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({**TLS_SWEEP, "tls_mode": {"mode": "exact"}}, "tls_mode must be one of"),
+        ({**TLS_SWEEP, "tls_mode": {"mode": ["bound"]}}, "tls_mode must be one of"),
+        ({**TLS_SWEEP, "tls_mode": {"mode": "oracle", "bound": 4.0}},
+         "bound is only used in bound mode"),
+        ({**TLS_SWEEP, "tls_mode": {"mode": "bound"}}, "bound mode requires a nonnegative bound"),
+        ({**TLS_SWEEP, "tls_mode": {"mode": "bound", "bound": -1.0}},
+         "bound mode requires a nonnegative bound"),
+        ({**TLS_SWEEP, "family": "rrls", "tls_mode": {"mode": "oracle"}},
+         "'tls_mode' is only valid for families tls/rrtls"),
+        ({**TLS_SWEEP, "family": "rrls", "tls_mode": {"mode": "bound", "bound": 4.0}},
+         "tls_mode must be 'oracle'"),
+    ],
+    ids=["mode-unknown", "mode-list", "oracle-with-bound", "bound-missing", "bound-negative",
+         "rrls-oracle", "rrls-bound"],
+)
+def test_sweep_applies_spec_tls_mode_rules(tmp_path, capsys, no_draws, cfg, message):
+    cfg = write_config(tmp_path / "sweep.json", {"trials": 20, "seed": 3, **cfg})
+    assert main(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "error: config:" in err and message in err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rrtls.model
 from rrtls import (
     MeasurementModel,
     ModelInvalidError,
@@ -182,6 +183,26 @@ def test_model_builders_are_deterministic():
     U, _, _ = np.linalg.svd(pm.H, full_matrices=False)
     scores = np.sort((U.T @ pm.x) ** 2)[::-1]
     np.testing.assert_allclose(scores, [9.0, 4.0, 1.0], atol=1e-20, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: spectrum_model(N=3, spectrum=[4.0, 3.0, 2.0, 1.0], theta=[1.0, 0.0, 0.0, 1.0],
+                               sigma2=0.1, seed=6),
+        lambda: planted_model(N=3, coefficients=[4.0, 3.0, 2.0, 1.0], sigma2=0.1, seed=9),
+    ],
+    ids=["spectrum", "planted"],
+)
+def test_model_builders_reject_more_columns_than_rows(monkeypatch, build):
+    # the shape is checked before the design is drawn, with the same typed
+    # error and message as MeasurementModel itself
+    def refuse(*args):
+        raise AssertionError("the design was drawn")
+
+    monkeypatch.setattr(rrtls.model, "_aux_rng", refuse)
+    with pytest.raises(ModelInvalidError, match=r"need 1 <= p <= N, got N=3, p=4"):
+        build()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 20260808, 2**32 - 1, 2**32, 2**40 + 3])
