@@ -129,6 +129,14 @@ def _numbers(values: list, context: str, minimum=None) -> np.ndarray:
     return np.array([_number(values, i, context, minimum) for i in range(len(values))])
 
 
+def _path(cfg: dict, key: str, context: str) -> str:
+    # a data-file path; anything else would reach open() (0 is stdin)
+    v = cfg[key]
+    if not isinstance(v, str):
+        raise ConfigError(f"{context}.{key} must be a file path")
+    return v
+
+
 def _theta(value, context: str) -> np.ndarray:
     if isinstance(value, str):
         return read_vector(value)
@@ -147,16 +155,21 @@ def _build_model(cfg: dict, seed: int) -> MeasurementModel:
     kind = cfg["kind"]
     theta = _theta(cfg["theta"], "model")
     sigma2 = _number(cfg, "sigma2", "model", minimum=0.0)
+
+    def check_theta(p: int) -> None:
+        if theta.shape[0] != p:
+            raise ConfigError(f"model.theta has length {theta.shape[0]}, expected p={p}")
+
     if kind == "explicit":
         _check_keys(cfg, {"kind", "H", "theta", "sigma2"}, {"H"}, "model(explicit)")
-        H = read_matrix(cfg["H"])
+        H = read_matrix(_path(cfg, "H", "model"))
+        check_theta(H.shape[1])
         return MeasurementModel(H=H, theta=theta, sigma2=sigma2)
     if kind == "gaussian":
         _check_keys(cfg, {"kind", "N", "p", "theta", "sigma2"}, {"N", "p"}, "model(gaussian)")
         N = _integer(cfg, "N", "model", minimum=1)
         p = _integer(cfg, "p", "model", minimum=1)
-        if theta.shape[0] != p:
-            raise ConfigError(f"model.theta has length {theta.shape[0]}, expected p={p}")
+        check_theta(p)
         return gaussian_model(N=N, p=p, theta=theta, sigma2=sigma2, seed=seed)
     if kind == "spectrum":
         _check_keys(cfg, {"kind", "N", "spectrum", "theta", "sigma2"}, {"N", "spectrum"}, "model(spectrum)")
@@ -164,9 +177,9 @@ def _build_model(cfg: dict, seed: int) -> MeasurementModel:
         spectrum = cfg["spectrum"]
         if not isinstance(spectrum, list) or not spectrum:
             raise ConfigError("model.spectrum must be a non-empty list of numbers")
-        return spectrum_model(
-            N=N, spectrum=_numbers(spectrum, "model.spectrum"), theta=theta, sigma2=sigma2, seed=seed
-        )
+        spectrum = _numbers(spectrum, "model.spectrum")
+        check_theta(spectrum.shape[0])
+        return spectrum_model(N=N, spectrum=spectrum, theta=theta, sigma2=sigma2, seed=seed)
     raise ConfigError(f"model.kind must be explicit, gaussian or spectrum, got {kind!r}")
 
 
@@ -194,8 +207,8 @@ def cmd_estimate(args) -> int:
     if family == "tls" and "bound" not in cfg:
         raise ConfigError("family 'tls' requires 'bound' (the parameter-norm bound)")
     sigma2 = _number(cfg, "sigma2", "config", minimum=0.0)
-    H = read_matrix(cfg["H"])
-    y = read_vector(cfg["y"])
+    H = read_matrix(_path(cfg, "H", "config"))
+    y = read_vector(_path(cfg, "y", "config"))
     rank_policy = _rank_policy(cfg, "rank", "config")
     p = H.shape[1]
 

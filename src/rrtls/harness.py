@@ -5,12 +5,16 @@ The four estimator families are labels over two observation models:
 errors-in-variables realizations.  ``run`` walks the trials in fixed chunks
 of consecutive trial indices, each trial drawn from its own substream, and
 evaluates every rank arm of the observation model on the same realizations
-(paired-seed fairness).  A chunk is evaluated as stacked arrays: additive
-chunks as one (b, N) block of observations, errors-in-variables chunks as
-one (b, N, p + 1) block of augmented matrices factored and checked at once
-(``tls.tls_factor_stack``), with rejected trials counted per error code and
-dropped.  Each chunk's central moments are merged into the run totals in
-chunk order.  The aggregates (per-rank squared errors, the data-driven
+(paired-seed fairness).  A chunk is drawn and evaluated as stacked arrays:
+additive chunks as one (b, N) block of observations, errors-in-variables
+chunks as one (b, N, p + 1) block of augmented matrices factored and
+checked at once (``tls.tls_factor_stack``), with rejected trials counted
+per error code and dropped.  The blocks come from ``model``'s block
+sampler; a stream guard draws trial 0 once through the per-trial
+``sample_ls``/``sample_tls`` before a run's first block and raises
+``RuntimeError`` unless the block's first row equals it bit for bit.
+Each chunk's central moments are merged into the run totals in chunk
+order.  The aggregates (per-rank squared errors, the data-driven
 risk estimate, the moments of the normalized full-rank error) are the
 statistics the verification suite reads, so it needs no per-trial rows.
 ``verify_chi_square`` turns the normalized-squared-error moment claims of
@@ -33,12 +37,20 @@ import numpy as np
 
 from .errors import InsufficientDataError
 # The functions below are looked up on this module at call time, so
-# callers can wrap them (bench/tracer.py, bench/probe.py, the tests); the
+# callers can wrap them (bench/tracer.py, bench/probe.py, the tests; a run
+# reaches the per-trial samplers before its first block); the
 # per-trial ``select_rank_ls``, ``tls_solve``, ``augmented_scores``,
 # ``q_objective`` and ``q_objective_bias_recipe`` are kept importable here
 # for that reason.
 from .ls import risk_objective, select_rank_ls, tail_sums  # noqa: F401
-from .model import MeasurementModel, sample_ls, sample_tls, _aux_rng
+from .model import (
+    MeasurementModel,
+    _aux_rng,
+    sample_ls,
+    sample_ls_block,
+    sample_tls,
+    sample_tls_block,
+)
 from .svdtools import check_orthonormal, order_by_scores, svd
 from .tls import (  # noqa: F401
     Q_MODES,
@@ -352,6 +364,29 @@ def _rank_sq_errors(diff: np.ndarray, d: np.ndarray, resid) -> np.ndarray:
     return np.cumsum(diff * diff, axis=-1) + tail_sums(d * d) + resid
 
 
+def _sample_block(spec: ExperimentSpec, start: int, stop: int) -> np.ndarray:
+    """Realizations of trials ``[start, stop)`` as one stacked block: (b, N)
+    observations for the additive model, (b, N, p + 1) augmented matrices
+    ``[H_tilde, y]`` for errors-in-variables.
+
+    Stream guard: before a run's first block (``start == 0``), trial 0 is
+    drawn once through the per-trial sampler, and the block's first row must
+    equal it bit for bit, or ``RuntimeError`` is raised.
+    """
+    model, seed = spec.model, spec.seed
+    eiv = spec.observation == ERRORS_IN_VARIABLES
+    sample, sample_block = (sample_tls, sample_tls_block) if eiv else (sample_ls, sample_ls_block)
+    if start:
+        return sample_block(model, seed, start, stop)
+    real = sample(model, seed, 0)
+    block = sample_block(model, seed, 0, stop)
+    first = np.column_stack([real.H_tilde, real.y]) if eiv else real.y
+    if block[0].tobytes() != first.tobytes():
+        raise RuntimeError(f"the block sampler's stream for seed {seed} departs "
+                           "from the per-trial sampler's at trial 0")
+    return block
+
+
 def _eiv_kernel(spec: ExperimentSpec, start: int, stop: int, failures: Dict[str, int]):
     """Trials ``[start, stop)`` of the errors-in-variables model up to the
     selection scores, as stacked arrays: draw, factor and check, order.
@@ -365,13 +400,8 @@ def _eiv_kernel(spec: ExperimentSpec, start: int, stop: int, failures: Dict[str,
     and the augmented scores (b, p + 1), the ordered retained scores
     followed by the discarded direction's.
     """
-    model = spec.model
-    p = model.p
-    A = np.empty((stop - start, model.N, p + 1))
-    for i, trial in enumerate(range(start, stop)):
-        real = sample_tls(model, spec.seed, trial)
-        A[i, :, :p] = real.H_tilde
-        A[i, :, p] = real.y
+    p = spec.model.p
+    A = _sample_block(spec, start, stop)
     U, core, codes = tls_factor_stack(A)
     solved = codes == ""
     for code, n in zip(*np.unique(codes[~solved], return_counts=True)):
@@ -395,9 +425,7 @@ def _additive_chunk(spec: ExperimentSpec, U: np.ndarray, d: np.ndarray, resid: f
     order) and the rank arms and the selected rank come out row-wise.
     """
     model = spec.model
-    Y = np.empty((stop - start, model.N))
-    for i, trial in enumerate(range(start, stop)):
-        Y[i] = sample_ls(model, spec.seed, trial).y
+    Y = _sample_block(spec, start, stop)
     C = Y @ U
     order = np.argsort(-(C * C), axis=1, kind="stable")
     c = np.take_along_axis(C, order, axis=1)

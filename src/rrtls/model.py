@@ -4,8 +4,18 @@ A :class:`MeasurementModel` fixes the design matrix ``H``, the parameter
 vector ``theta`` and the per-entry noise variance ``sigma2``; the noiseless
 signal is ``x = H @ theta``.  Sampling is pure: a realization is a
 deterministic function of ``(model, seed, trial)``, with one independent
-substream per trial so that trials can be drawn in any order (or in
-parallel) with identical output.
+substream per trial (``trial_rng``: PCG64 seeded by
+``SeedSequence([seed, trial])``) so that trials can be drawn in any order
+(or in parallel) with identical output.
+
+``sample_ls``/``sample_tls`` draw one trial.  The block sampler
+(``sample_ls_block``/``sample_tls_block``, not exported) draws a range of
+consecutive trials into one stacked array, bit-identical to stacking the
+per-trial draws: it replays SeedSequence's hash vectorized over aligned
+windows of 1024 trials and PCG64's seeding in Python ints, then sets one
+reused PCG64 to each trial's state instead of building a generator per
+trial.  Seeds or trials of 2**32 and more (SeedSequence then hashes more
+entropy words) are drawn through ``trial_rng`` itself.
 
 Two observation models are supported:
 
@@ -21,6 +31,7 @@ Two observation models are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -61,9 +72,98 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _aux_rng(seed: int, tag: int) -> np.random.Generator:
-    # Three-word entropy keeps auxiliary streams (model construction)
-    # disjoint from the two-word per-trial streams.
+    # Model-construction stream.  SeedSequence hashes missing pool words as
+    # zeros, so the trailing 0 leaves this the very stream of
+    # trial_rng(seed, tag): a builder's design shares its draws with trial
+    # `tag` of a sweep run at the same seed.  Separating them would change
+    # every seeded artifact.
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(tag), 0]))
+
+
+# numpy's SeedSequence hash (bit_generator.pyx) and the 128-bit PCG64
+# multiplier; _pcg64_states replays both for a window of trials.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_WINDOW = 1024
+
+
+def _hash_consts(init: int, mult: int):
+    # hashmix XORs with the running constant, advances it, then multiplies
+    # by the advanced one: successive (xor, multiply) pairs overlap.
+    while True:
+        advanced = init * mult & _MASK32
+        yield np.uint32(init), np.uint32(advanced)
+        init = advanced
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    xor, mul = next(consts)
+    value = (value ^ xor) * mul
+    return value ^ (value >> 16)
+
+
+@lru_cache(maxsize=1)
+def _pcg64_states(seed: int, window: int) -> tuple:
+    """``(state, inc)`` of the PCG64 that ``trial_rng(seed, t)`` builds, for
+    the trials ``t`` of one aligned window ``[window * _WINDOW, ...)``.
+
+    Vectorizes SeedSequence's entropy mixing over the window's two-word
+    entropies ``[seed, t]`` (both below 2**32) and its ``generate_state(4,
+    uint64)``, then runs PCG64's seeding (two LCG steps) in Python ints.
+    The last window is kept: a run's chunks walk the windows in order, and
+    chunks far smaller than a window (7 trials at N=256, p=32) share one
+    hash.
+    """
+    trials = np.arange(window * _WINDOW, (window + 1) * _WINDOW, dtype=np.uint32)
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(np.full(_WINDOW, seed, np.uint32), consts), _hashmix(trials, consts)]
+    pool += [_hashmix(np.zeros(_WINDOW, np.uint32), consts) for _ in range(2)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], consts)
+                pool[dst] = mixed ^ (mixed >> 16)
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    words = [_hashmix(pool[k % 4], consts).astype(np.uint64) for k in range(8)]
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (words[2 * k] | words[2 * k + 1] << 32).tolist() for k in range(4))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return tuple(states)
+
+
+def _normal_rows(seed: int, start: int, stop: int, width: int) -> np.ndarray:
+    """Row ``i`` holds the first ``width`` standard normals of
+    ``trial_rng(seed, start + i)``, bit for bit.
+
+    Trials below 2**32 of seeds below 2**32 reuse one PCG64, set to each
+    trial's seeded state; other trials (SeedSequence then hashes more than
+    two entropy words) are drawn through ``trial_rng`` itself.
+    """
+    out = np.empty((stop - start, width))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    pcg = {"state": 0, "inc": 0}
+    full_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    trial = start
+    while trial < stop:
+        if seed >= 2**32 or trial >= 2**32:
+            trial_rng(seed, trial).standard_normal(out=out[trial - start])
+            trial += 1
+            continue
+        window, offset = divmod(trial, _WINDOW)
+        states = _pcg64_states(seed, window)[offset:offset + stop - trial]
+        for row, (state, inc) in enumerate(states, trial - start):
+            pcg["state"], pcg["inc"] = state, inc
+            bitgen.state = full_state
+            gen.standard_normal(out=out[row])
+        trial += len(states)
+    return out
 
 
 @dataclass(frozen=True)
@@ -176,6 +276,30 @@ def sample_tls(model: MeasurementModel, seed: int, trial: int) -> Realization:
     y = model.x + scale * z_obs
     H_tilde = model.H + np.sqrt(model.sigma2) * z_mat
     return Realization(y=y, H_tilde=H_tilde, trial_index=trial, seed=seed)
+
+
+def sample_ls_block(model: MeasurementModel, seed: int, start: int, stop: int) -> np.ndarray:
+    """Observations of trials ``[start, stop)`` as a (b, N) block whose row
+    ``i`` equals ``sample_ls(model, seed, start + i).y`` bit for bit."""
+    Y = _normal_rows(seed, start, stop, model.N)
+    Y *= np.sqrt(model.sigma2)
+    Y += model.x
+    return Y
+
+
+def sample_tls_block(model: MeasurementModel, seed: int, start: int, stop: int) -> np.ndarray:
+    """Augmented matrices ``[H_tilde, y]`` of trials ``[start, stop)`` as a
+    (b, N, p + 1) block whose entry ``i`` equals ``sample_tls(model, seed,
+    start + i)``'s bit for bit (draw order: ``z_obs``, then ``z_mat``
+    row-major), assembled in place."""
+    N, p = model.N, model.p
+    Z = _normal_rows(seed, start, stop, N * (p + 1))
+    A = np.empty((stop - start, N, p + 1))
+    np.multiply(Z[:, N:].reshape(-1, N, p), np.sqrt(model.sigma2), out=A[..., :p])
+    A[..., :p] += model.H
+    np.multiply(Z[:, :N], np.sqrt(model.sigma2 * (1.0 + model.theta_norm2)), out=A[..., p])
+    A[..., p] += model.x
+    return A
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rrtls.acceptance
+import rrtls.cli
 from rrtls import gaussian_model, ExperimentSpec, run
 from rrtls.cli import main
 from rrtls.textio import parse_csv, read_matrix, write_matrix, write_text
@@ -510,6 +511,40 @@ def test_sweep_rejects_more_singular_values_than_rows(tmp_path, capsys, no_draws
     cfg = sweep_config(tmp_path, model=model)
     assert main(["sweep", "--config", cfg]) == 3
     assert "error: model-invalid: need 1 <= p <= N, got N=3, p=4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "spectrum", "explicit"])
+def test_sweep_rejects_theta_of_the_wrong_length(tmp_path, capsys, no_draws, kind):
+    write_matrix(tmp_path / "H.txt", np.random.default_rng(4).standard_normal((16, 4)))
+    model = {"gaussian": {"kind": "gaussian", "N": 16, "p": 4},
+             "spectrum": {"kind": "spectrum", "N": 16, "spectrum": [2, 1.5, 1.25, 1]},
+             "explicit": {"kind": "explicit", "H": str(tmp_path / "H.txt")}}[kind]
+    cfg = sweep_config(tmp_path, model={**model, "theta": [1.0, -0.5, 0.25], "sigma2": 0.25})
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "error: config: model.theta has length 3, expected p=4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("H", [[[1, 0], [0, 1], [1, 1]], 0, None, True],
+                         ids=["nested-list", "zero", "null", "bool"])
+def test_sweep_requires_a_path_for_the_explicit_design(tmp_path, capsys, monkeypatch, no_draws, H):
+    # checked before any read: open(0) would read standard input
+    def refuse(path):
+        raise AssertionError("a matrix file was read")
+
+    monkeypatch.setattr(rrtls.cli, "read_matrix", refuse)
+    cfg = sweep_config(tmp_path, model={"kind": "explicit", "H": H, "theta": [1.0, 2.0],
+                                        "sigma2": 0.25})
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "error: config: model.H must be a file path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["H", "y"])
+def test_estimate_requires_paths_for_its_data(tmp_path, capsys, identity_fixture, key):
+    cfg = json.loads((tmp_path / "cfg.json").read_text())
+    cfg[key] = 0
+    write_config(tmp_path / "cfg.json", cfg)
+    assert main(["estimate", "--config", identity_fixture]) == 2
+    assert f"error: config: config.{key} must be a file path" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

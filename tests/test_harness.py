@@ -765,40 +765,103 @@ def test_errors_in_variables_run_matches_reference_property(N, p_draw, sigma2, t
 
 
 # ---------------------------------------------------------------------------
-# draw hooks: every trial is drawn once, in trial order, through the
-# module-level sampling names
+# draw hooks: a run draws trial 0 once through the per-trial sampler (the
+# stream guard), then every trial once, in trial order, through the block
+# sampler; both are looked up on the harness module at call time
 # ---------------------------------------------------------------------------
 
 def _count_draws(monkeypatch, name):
     calls = []
     original = getattr(harness_mod, name)
 
-    def counted(model, seed, trial):
-        calls.append((seed, trial))
-        return original(model, seed, trial)
+    def counted(model, seed, *trials):
+        calls.append((seed, *trials))
+        return original(model, seed, *trials)
 
     monkeypatch.setattr(harness_mod, name, counted)
     return calls
 
 
+def _assert_blocks_tile(blocks, seed, trials):
+    assert [b[0] for b in blocks] == [seed] * len(blocks)
+    assert all(start < stop for _, start, stop in blocks)
+    assert [t for _, start, stop in blocks for t in range(start, stop)] == list(range(trials))
+
+
 def test_additive_run_draws_each_trial_once_in_order(monkeypatch):
-    calls = _count_draws(monkeypatch, "sample_ls")
+    guard = _count_draws(monkeypatch, "sample_ls")
+    blocks = _count_draws(monkeypatch, "sample_ls_block")
     N = 8192
     model = gaussian_model(N=N, p=2, theta=[1.0, 0.5], sigma2=0.25, seed=53)
     trials = 2 * _chunk(N) + 1
     run(ExperimentSpec(model=model, family="ls", trials=trials, seed=53))
-    assert calls == [(53, t) for t in range(trials)]
+    assert guard == [(53, 0)]
+    assert len(blocks) == 3
+    _assert_blocks_tile(blocks, 53, trials)
 
 
 @pytest.mark.parametrize("grid", [None, [0.0, 3.0]], ids=["run", "grid"])
 def test_errors_in_variables_draws_each_trial_once_in_order(monkeypatch, grid):
-    calls = _count_draws(monkeypatch, "sample_tls")
-    spec = ExperimentSpec(model=tls_model(), family="rrtls", trials=37, seed=55)
+    guard = _count_draws(monkeypatch, "sample_tls")
+    blocks = _count_draws(monkeypatch, "sample_tls_block")
+    model = gaussian_model(N=1024, p=3, theta=[1.0, 0.5, -0.5], sigma2=0.04, seed=55)
+    trials = 2 * _chunk(1024 * 4) + 5
+    spec = ExperimentSpec(model=model, family="rrtls", trials=trials, seed=55)
     if grid is None:
         run(spec)
     else:
         compare_selection_rules(spec, grid)
-    assert calls == [(55, t) for t in range(37)]
+    assert guard == [(55, 0)]
+    assert len(blocks) == 3
+    _assert_blocks_tile(blocks, 55, trials)
+
+
+_GUARD_CASES = [("sample_ls", "sample_ls_block", "rrls", None),
+                ("sample_tls", "sample_tls_block", "rrtls", None),
+                ("sample_tls", "sample_tls_block", "rrtls", [0.0, 3.0])]
+_GUARD_IDS = ["additive", "errors-in-variables", "grid"]
+
+
+def _run_or_compare(spec, grid):
+    return run(spec) if grid is None else compare_selection_rules(spec, grid)
+
+
+@pytest.mark.parametrize("sample_name, block_name, family, grid", _GUARD_CASES, ids=_GUARD_IDS)
+def test_stream_guard_rejects_a_block_that_departs_from_the_per_trial_stream(
+        monkeypatch, sample_name, block_name, family, grid):
+    original = getattr(harness_mod, block_name)
+
+    def flipped(model, seed, start, stop):
+        block = original(model, seed, start, stop)
+        block[0].reshape(-1).view(np.uint64)[-1] ^= 1
+        return block
+
+    monkeypatch.setattr(harness_mod, block_name, flipped)
+    spec = ExperimentSpec(model=tls_model(), family=family, trials=20, seed=57)
+    with pytest.raises(RuntimeError, match="departs from the per-trial sampler"):
+        _run_or_compare(spec, grid)
+
+
+class _Reached(BaseException):
+    pass
+
+
+@pytest.mark.parametrize("sample_name, block_name, family, grid", _GUARD_CASES, ids=_GUARD_IDS)
+def test_per_trial_sampler_is_reached_before_the_block_sampler(
+        monkeypatch, sample_name, block_name, family, grid):
+    # the order a set-up probe relies on: patching the per-trial sampler
+    # stops a run before any block is drawn
+    def reached(*args):
+        raise _Reached
+
+    def refuse(*args):
+        raise AssertionError("a block was drawn first")
+
+    monkeypatch.setattr(harness_mod, sample_name, reached)
+    monkeypatch.setattr(harness_mod, block_name, refuse)
+    spec = ExperimentSpec(model=tls_model(), family=family, trials=20, seed=59)
+    with pytest.raises(_Reached):
+        _run_or_compare(spec, grid)
 
 
 # ---------------------------------------------------------------------------
