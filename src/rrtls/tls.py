@@ -30,6 +30,9 @@ from .svdtools import OrderedBasis, SvdFactorization, svd
 # Relative thresholds of the TLS rejection checks (``_rejection_codes``).
 GAP_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-12
+# Factor by which the bound on the core's smallest singular value must clear
+# the degeneracy threshold to decide a problem without the core's own SVD.
+DEGENERACY_SCREEN = 1e3
 
 Q_MODES = ("oracle", "bound")
 
@@ -101,21 +104,38 @@ class NormDependenceCertificate:
         object.__setattr__(self, "q_stars", _frozen_array(self.q_stars, dtype=int))
 
 
-def _rejection_codes(S, core_svals) -> np.ndarray:
+def _rejection_codes(S, v, core) -> np.ndarray:
     """Error code of each TLS problem, ``""`` when it has a unique,
     nondegenerate solution, elementwise over stacked problems.
 
     ``S`` (..., p + 1) are the singular values of the augmented matrix
-    ``[H_tilde, y]`` and ``core_svals`` (..., p) those of the core
+    ``A = [H_tilde, y]``, ``v`` (...) the last component of its discarded
+    right singular vector (any sign) and ``core`` (..., p, p) the core
     ``U_s' H_tilde``.  The solution is unique when ``sigma_p > sigma_{p+1}``
     (judged relative to the largest singular value, ``GAP_RTOL``) and yields
-    a parameter estimate when the core is nonsingular (``DEGENERACY_RTOL``;
-    Golub & Van Loan, SIAM J. Numer. Anal. 17, 1980); a problem failing
+    a parameter estimate when the core is nonsingular: its smallest singular
+    value exceeds ``DEGENERACY_RTOL`` times the larger of its largest and 1
+    (Golub & Van Loan, SIAM J. Numer. Anal. 17, 1980).  A problem failing
     both is nonunique.
+
+    The core's singular values come from the SVD of ``A`` where they can:
+    ``U_s' A = diag(S_1..S_p) V_s'``, so the core is ``diag(S_1..S_p)``
+    times the leading p-by-p block of an orthogonal matrix, whose singular
+    values are 1 (p - 1 times) and ``|v|`` (CS decomposition).  Hence
+    ``sigma_min(core) >= S_p |v|`` and ``sigma_max(core) <= S_1``.  A core
+    whose bound ``S_p |v|`` exceeds ``DEGENERACY_SCREEN`` times the
+    threshold ``DEGENERACY_RTOL * max(S_1, 1)`` is nonsingular; only the
+    others are decided by the SVD of the core itself, so every code equals
+    that of the exact rule.
     """
     p = S.shape[-1] - 1
     nonunique = S[..., p - 1] - S[..., p] <= GAP_RTOL * S[..., 0]
-    degenerate = core_svals[..., -1] <= DEGENERACY_RTOL * np.maximum(core_svals[..., 0], 1.0)
+    undecided = (S[..., p - 1] * np.abs(v)
+                 <= DEGENERACY_SCREEN * DEGENERACY_RTOL * np.maximum(S[..., 0], 1.0))
+    degenerate = np.zeros(undecided.shape, dtype=bool)
+    if undecided.any():
+        svals = np.linalg.svd(core[undecided], compute_uv=False)
+        degenerate[undecided] = svals[:, -1] <= DEGENERACY_RTOL * np.maximum(svals[:, 0], 1.0)
     return np.where(nonunique, NonUniqueTlsError.code,
                     np.where(degenerate, DegenerateSolutionError.code, ""))
 
@@ -142,6 +162,10 @@ def tls_solve(H_tilde, y) -> TlsEstimate:
         smallest singular value is at or below ``DEGENERACY_RTOL`` (1e-12)
         times the larger of its largest and 1 (the classical pathology of
         a vanishing last component in the smallest right singular vector).
+        The check reads the bound ``sigma_p |V[p, p]|`` on that singular
+        value from the augmented SVD and computes the core's own singular
+        values only when the bound does not clear the threshold by
+        ``DEGENERACY_SCREEN``; the message gives the exact value.
     """
     H_tilde = np.asarray(H_tilde, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -156,8 +180,7 @@ def tls_solve(H_tilde, y) -> TlsEstimate:
     gap = float(f.S[p - 1] - f.S[p])
     Us = f.U[:, :p]
     core = Us.T @ H_tilde
-    core_svals = np.linalg.svd(core, compute_uv=False)
-    code = _rejection_codes(f.S, core_svals)
+    code = _rejection_codes(f.S, f.V[p, p], core)
     if code == NonUniqueTlsError.code:
         raise NonUniqueTlsError(
             f"no strictly smallest singular value: gap {gap:.6e} <= "
@@ -166,7 +189,7 @@ def tls_solve(H_tilde, y) -> TlsEstimate:
     if code == DegenerateSolutionError.code:
         raise DegenerateSolutionError(
             f"corrected system matrix is rank deficient: smallest singular "
-            f"value {core_svals[-1]:.6e}"
+            f"value {np.linalg.svd(core, compute_uv=False)[-1]:.6e}"
         )
     coeffs = Us.T @ y
     theta_hat = np.linalg.solve(core, coeffs)
@@ -190,6 +213,9 @@ def tls_factor_stack(A):
     last, with no sign convention (every consumer is sign invariant); the
     cores ``U_s' H_tilde`` (b, p, p); and per row the code of the error
     :func:`tls_solve` raises on that problem, ``""`` for a solved row.
+    Both share :func:`_rejection_codes`: one SVD per problem, plus the SVD of
+    the core only for the rows whose right singular vectors leave its
+    degeneracy undecided.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 3 or A.shape[1] < A.shape[2]:
@@ -197,9 +223,9 @@ def tls_factor_stack(A):
     if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     p = A.shape[2] - 1
-    U, S, _ = np.linalg.svd(A, full_matrices=False)
+    U, S, Vt = np.linalg.svd(A, full_matrices=False)
     core = np.swapaxes(U[..., :p], 1, 2) @ A[..., :p]
-    codes = _rejection_codes(S, np.linalg.svd(core, compute_uv=False))
+    codes = _rejection_codes(S, Vt[:, p, p], core)
     return U, core, codes
 
 

@@ -32,6 +32,7 @@ from rrtls import (
     verify_chi_square,
 )
 from rrtls.harness import VecStats
+import rrtls.tls as tls_mod
 from rrtls.tls import tls_factor_stack
 
 SEED = 606060
@@ -635,6 +636,108 @@ def test_stacked_factor_codes_match_tls_solve_row_by_row():
         np.testing.assert_allclose(Us @ core[i], est.H_corrected, atol=1e-12)
     assert expected == ["", "", "nonunique-tls", "degenerate-solution", "", "nonunique-tls"]
     assert codes.tolist() == expected
+
+
+def _solve_code(row):
+    p = row.shape[1] - 1
+    try:
+        tls_solve(row[:, :p], row[:, p])
+    except RrtlsError as err:
+        return err.code
+    return ""
+
+
+def _near_singular_core_stack(seed, N, p, exponents):
+    """Generic augmented matrices (b, N, p + 1), one per entry of
+    ``exponents``: a finite entry u scales one H_tilde column of its row by
+    10**u, pushing that row's core U_s' H_tilde toward singular."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((len(exponents), N, p + 1))
+    for row, u in zip(A, exponents):
+        if np.isfinite(u):
+            row[:, rng.integers(p)] *= 10.0 ** u
+    return A
+
+
+def _check_screen(A):
+    """The stacked codes equal per-trial tls_solve's and the unscreened
+    rule's (the SVD of every core), and the bound the screen reads holds:
+    sigma_min(core) >= S_p |Vt[p, p]| and sigma_max(core) <= S_1 up to
+    rounding.  Returns, per row, whether the bound alone decided it."""
+    p = A.shape[2] - 1
+    _, core, codes = tls_factor_stack(A)
+    _, S, Vt = np.linalg.svd(A, full_matrices=False)
+    core_svals = np.linalg.svd(core, compute_uv=False)
+    nonunique = S[:, p - 1] - S[:, p] <= tls_mod.GAP_RTOL * S[:, 0]
+    degenerate = core_svals[:, -1] <= tls_mod.DEGENERACY_RTOL * np.maximum(core_svals[:, 0], 1.0)
+    exact = np.where(nonunique, "nonunique-tls", np.where(degenerate, "degenerate-solution", ""))
+    assert codes.tolist() == exact.tolist() == [_solve_code(row) for row in A]
+    bound = S[:, p - 1] * np.abs(Vt[:, p, p])
+    assert np.all(core_svals[:, -1] >= bound - 1e-14 * S[:, 0])
+    assert np.all(core_svals[:, 0] <= S[:, 0] * (1.0 + 1e-14))
+    return bound > (tls_mod.DEGENERACY_SCREEN * tls_mod.DEGENERACY_RTOL
+                    * np.maximum(S[:, 0], 1.0))
+
+
+def test_screen_decides_rows_on_both_sides_of_the_degeneracy_threshold():
+    # a grid of column scales from 1e-15 to 1e-6 beside generic rows: the
+    # bound decides some rows, and the core SVD others on both sides of
+    # DEGENERACY_RTOL
+    exponents = np.concatenate([np.linspace(-15.0, -6.0, 37), np.full(8, np.inf)])
+    A = _near_singular_core_stack(71, 9, 3, exponents)
+    screened = _check_screen(A)
+    codes = tls_factor_stack(A)[2]
+    assert screened.any()
+    assert {"", "degenerate-solution"} <= set(codes[~screened].tolist())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    shape=st.integers(1, 5).flatmap(lambda p: st.tuples(st.integers(p + 1, 10), st.just(p))),
+    exponents=st.lists(st.one_of(st.floats(-15.0, -6.0), st.just(np.inf)), min_size=1,
+                       max_size=12),
+)
+def test_screened_codes_match_tls_solve_property(seed, shape, exponents):
+    N, p = shape
+    _check_screen(_near_singular_core_stack(seed, N, p, exponents))
+
+
+def _spy_core_svds(monkeypatch):
+    """Record the input of every ``np.linalg.svd(..., compute_uv=False)``
+    call, the fallback SVD of the cores the screen leaves undecided."""
+    calls = []
+    real_svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        if kwargs.get("compute_uv") is False:
+            calls.append(np.array(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def test_generic_run_makes_no_core_svd(monkeypatch):
+    spec = ExperimentSpec(model=tls_model(), family="rrtls", trials=512, seed=73)
+    calls = _spy_core_svds(monkeypatch)
+    res = run(spec)
+    assert res.completed == 512
+    assert calls == []
+
+
+def test_singular_cores_take_the_core_svd(monkeypatch):
+    A = _tls_rows()
+    calls = _spy_core_svds(monkeypatch)
+    _, core, codes = tls_factor_stack(A)
+    checked = np.concatenate(calls)
+    assert codes.tolist() == ["", "", "nonunique-tls", "degenerate-solution", "", "nonunique-tls"]
+
+    def was_checked(i):
+        return any(np.array_equal(core[i], c) for c in checked)
+
+    assert was_checked(3) and was_checked(5)  # the singular core and both
+    assert not any(was_checked(i) for i in (0, 1, 4))  # the generic rows
 
 
 def _eiv_run_reference(spec, solve):

@@ -29,8 +29,9 @@ def model():
 
 @pytest.fixture(scope="module")
 def ls_batch(model):
-    n = 100_000
-    return np.stack([sample_ls(model, SEED, t).y for t in range(n)])
+    # the block sampler's rows are sample_ls(model, SEED, t).y bit for bit
+    # (test_blocks_match_per_trial_draws)
+    return sample_ls_block(model, SEED, 0, 100_000)
 
 
 def test_model_dimensions_and_signal(model):
@@ -128,12 +129,19 @@ def test_sample_tls_noiseless_is_exact(model):
     assert np.array_equal(real.H_tilde, m.H)
 
 
+def _tls_observations(m, seed, n, chunk=8192):
+    """``sample_tls(m, seed, t).y`` for trials ``0..n-1`` stacked, drawn
+    through the block sampler (bit for bit the same rows) chunk by chunk."""
+    return np.concatenate([sample_tls_block(m, seed, start, min(start + chunk, n))[..., m.p]
+                           for start in range(0, n, chunk)])
+
+
 def test_sample_tls_zero_parameter_variance():
     rng = np.random.default_rng(13)
     H = rng.standard_normal((16, 4))
     m = MeasurementModel(H=H, theta=np.zeros(4), sigma2=0.25)
     n = 50_000
-    ys = np.stack([sample_tls(m, 78, t).y for t in range(n)])
+    ys = _tls_observations(m, 78, n)
     var = ys.var(axis=0, ddof=1)
     se_var = 0.25 * np.sqrt(2.0 / (n - 1))
     assert np.all(np.abs(var - 0.25) <= 3.0 * se_var)
@@ -147,7 +155,7 @@ def test_sample_tls_compound_variance():
     m = MeasurementModel(H=H, theta=theta, sigma2=0.25)
     assert m.theta_norm2 == pytest.approx(3.0)
     n = 100_000
-    ys = np.stack([sample_tls(m, 99, t).y for t in range(n)])
+    ys = _tls_observations(m, 99, n)
     target = 0.25 * (1.0 + 3.0)
     var = ys.var(axis=0, ddof=1)
     se_var = target * np.sqrt(2.0 / (n - 1))
@@ -159,13 +167,14 @@ def test_sample_tls_compound_variance():
 
 def test_sample_tls_matrix_noise_variance(model):
     n = 20_000
-    es = np.stack([sample_tls(model, 31, t).H_tilde - model.H for t in range(n)])
+    A = sample_tls_block(model, 31, 0, n)
+    es = A[..., :model.p] - model.H
     flat = es.reshape(n, -1)
     var = flat.var(axis=0, ddof=1)
     se_var = model.sigma2 * np.sqrt(2.0 / (n - 1))
     assert np.all(np.abs(var - model.sigma2) <= 4.0 * se_var)
     # observation noise and matrix noise are drawn independently
-    ys = np.stack([sample_tls(model, 31, t).y - model.x for t in range(n)])
+    ys = A[..., model.p] - model.x
     corr = (ys[:, 0] @ flat[:, 0]) / (
         np.linalg.norm(ys[:, 0]) * np.linalg.norm(flat[:, 0])
     )
