@@ -265,7 +265,6 @@ def _result_json(res) -> dict:
         "auto_mse": res.auto_mse,
         "auto_se": res.auto_se,
         "sel_freq": res.sel_freq,
-        "sel_freq_bias_recipe": res.sel_freq_alt,
         "tls_full_formula_mean": res.tls_full_formula_mean,
         "moments": None if res.moments is None else dataclasses.asdict(res.moments),
     }

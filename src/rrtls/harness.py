@@ -278,7 +278,6 @@ class ExperimentResult:
     mse_se: np.ndarray
     mse_theory: np.ndarray
     sel_freq: np.ndarray
-    sel_freq_alt: Optional[np.ndarray]
     auto_mse: float
     auto_se: float
     risk_estimate_mean: Optional[np.ndarray]
@@ -341,7 +340,6 @@ class _Accumulator:
         self.risk = VecStats((p,))
         self.formula_full = VecStats(())
         self.sel_counts = np.zeros(p, dtype=np.int64)
-        self.alt_counts = np.zeros(p, dtype=np.int64)
         self.failures: Dict[str, int] = {}
 
     def add_chunk(self, sq: np.ndarray, r_index: np.ndarray, **blocks) -> None:
@@ -462,8 +460,6 @@ def _eiv_chunk(spec: ExperimentSpec, start: int, stop: int, acc: _Accumulator) -
     formula = _tls_full_mse(model, (Us @ (core @ model.theta)[..., None])[..., 0])
     q_index = np.argmin(_q_values(scores, sigma2, p, t_val), axis=1)
     acc.add_chunk(sq, q_index, theory=theory, formula_full=formula)
-    alt_index = np.argmin(risk_objective(scores, sigma2 * (1.0 + t_val))[:, :p], axis=1)
-    acc.alt_counts += np.bincount(alt_index, minlength=p)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +526,6 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         mse_se=mse_se,
         mse_theory=np.asarray(mse_theory, dtype=float),
         sel_freq=sel_freq,
-        sel_freq_alt=(acc.alt_counts / completed if eiv and completed else None),
         auto_mse=float(acc.auto.mean) if completed else float("nan"),
         auto_se=float(acc.auto.se()) if completed else float("nan"),
         risk_estimate_mean=(np.asarray(acc.risk.mean) if not eiv and completed else None),

@@ -62,22 +62,16 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """
     if trial < 0:
         raise ValueError("trial index must be nonnegative")
-    entropy = [int(seed), int(trial)]
-    if 0 <= entropy[0] < 2**32 and entropy[1] < 2**32:
-        # The same two entropy words as the list, passed as an array so that
-        # SeedSequence skips converting Python ints: an identical stream,
-        # built in about four fifths of the time.
-        entropy = np.array(entropy, dtype=np.uint32)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
 
 
 def _aux_rng(seed: int, tag: int) -> np.random.Generator:
-    # Model-construction stream.  SeedSequence hashes missing pool words as
-    # zeros, so the trailing 0 leaves this the very stream of
-    # trial_rng(seed, tag): a builder's design shares its draws with trial
-    # `tag` of a sweep run at the same seed.  Separating them would change
-    # every seeded artifact.
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(tag), 0]))
+    # Model-construction stream: child `tag` of SeedSequence(seed).spawn().
+    # SeedSequence pads the entropy to four pool words before appending the
+    # spawn key, so this pool is that of trial_rng(seed, tag * 2**96) and of
+    # no trial index below that: a builder's design is independent of every
+    # trial's noise in a sweep run at the same seed.
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(tag),)))
 
 
 # numpy's SeedSequence hash (bit_generator.pyx) and the 128-bit PCG64

@@ -302,8 +302,10 @@ def q_objective_bias_recipe(scores, sigma2: float, p: int, theta_norm2: float) -
 
     the first p values of ``ls.risk_objective(scores, sigma2 * (1 + t))``.
     The primary rule (:func:`q_objective`) uses a different correction
-    term; the harness reports both selections side by side so the
-    difference is visible rather than silently reconciled.
+    term, but with ``s = sigma2 (1 + t)`` both objectives are increasing
+    affine maps of ``sum_{j>q} scores[j] + 2 s q``, so they select the
+    same rank up to floating-point ties; the grid report of
+    ``harness.compare_selection_rules`` still shows both selections.
     """
     scores = np.asarray(scores, dtype=float).reshape(-1)
     if scores.shape[0] != p + 1:
@@ -317,7 +319,7 @@ def _q_values(scores, sigma2: float, p: int, t):
     (..., p + 1); the parameter norm t broadcasts against the leading axes,
     so a (G, 1, 1) grid of norms over (b, p + 1) scores gives (G, b, p).
     The bias recipe is ``risk_objective(scores, sigma2 * (1 + t))[..., :p]``,
-    which broadcasts the same way."""
+    which broadcasts the same way and has the same argmin."""
     q = np.arange(1, p + 1)
     return (tail_sums(scores)[..., :p] + sigma2 * (1.0 + t) * (2 * q + p)) / (1.0 + t)
 

@@ -138,7 +138,6 @@ def test_tls_run_reports_conditional_theory_and_formula():
     assert res.failures == {}
     assert res.completed == 2_000
     assert res.tls_full_formula_mean > 0
-    assert res.sel_freq_alt is not None
     assert res.mse_theory.shape == (4,)
     # conditional theory mean tracks the empirical MSE loosely at small noise
     assert np.all(res.mse_theory > 0)
@@ -419,10 +418,9 @@ def test_errors_in_variables_run_matches_per_trial_reference(monkeypatch):
     model = tls_model(sigma2=0.09)
     spec = ExperimentSpec(model=model, family="rrtls", trials=300, seed=43)
     res = run(spec)
-    counts, alt_counts, failures, sq, auto, theory, _ = _eiv_run_reference(spec, solve)
+    counts, failures, sq, auto, theory, _ = _eiv_run_reference(spec, solve)
     assert failures.get("nonunique-tls", 0) > 0
     _assert_matches_reference(res, counts, failures, sq, auto, np.mean(theory, axis=0))
-    assert np.array_equal(res.sel_freq_alt, alt_counts / len(sq))
 
 
 def test_selection_comparison_matches_per_trial_reference(monkeypatch):
@@ -555,7 +553,7 @@ def test_errors_in_variables_chunks_match_per_trial_reference(monkeypatch):
     trials = 2 * _chunk(N) + 5
     spec = ExperimentSpec(model=model, family="rrtls", trials=trials, seed=51)
     res = run(spec)
-    counts, _, failures, sq, auto, theory, _ = _eiv_run_reference(spec, solve)
+    counts, failures, sq, auto, theory, _ = _eiv_run_reference(spec, solve)
     assert failures.get("nonunique-tls", 0) > 0
     _assert_matches_reference(res, counts, failures, sq, auto, np.mean(theory, axis=0))
     np.testing.assert_allclose(np.concatenate(rows), sq, rtol=1e-12)
@@ -752,7 +750,6 @@ def _eiv_run_reference(spec, solve):
     p, x, sigma2, t_val = model.p, model.x, model.sigma2, model.theta_norm2
     ranks = np.arange(1, p + 1)
     counts = np.zeros(p, dtype=np.int64)
-    alt_counts = np.zeros(p, dtype=np.int64)
     failures = {}
     sq, auto, theory, formula = [], [], [], []
     for t in range(spec.trials):
@@ -762,7 +759,6 @@ def _eiv_run_reference(spec, solve):
         y, est, basis, scores = front
         q_star = q_objective(scores, sigma2, p, t_val, "oracle").q_star
         counts[q_star - 1] += 1
-        alt_counts[int(np.argmin(q_objective_bias_recipe(scores, sigma2, p, t_val)))] += 1
         noise = [tls_reduced(basis, y - x, q) for q in ranks]
         bias = [x - tls_reduced(basis, x, q) for q in ranks]
         sq.append([float(n @ n + b @ b) for n, b in zip(noise, bias)])
@@ -770,21 +766,20 @@ def _eiv_run_reference(spec, solve):
         d = np.append(basis.columns.T @ x, est.discarded_column @ x)
         theory.append(_tails(d * d)[:p] + ranks * sigma2)
         formula.append(mse_theoretical_tls_full(model, est))
-    return counts, alt_counts, failures, np.array(sq), auto, theory, formula
+    return counts, failures, np.array(sq), auto, theory, formula
 
 
 def _assert_eiv_matches_reference(res, spec, solve):
     """Counts exactly, float aggregates to rtol 1e-12 (noiseless draws
     leave the full-rank arm and the formula at rounding level, compared on
     the absolute 1e-12 |x|^2 scale)."""
-    counts, alt_counts, failures, sq, auto, theory, formula = _eiv_run_reference(spec, solve)
+    counts, failures, sq, auto, theory, formula = _eiv_run_reference(spec, solve)
     model, n = spec.model, sq.shape[0]
     assert res.completed == n and res.failures == failures
     if n == 0:
         return sq
     atol = 1e-12 * float(model.x @ model.x) if model.sigma2 == 0 else 0.0
     assert np.array_equal(res.sel_freq, counts / n)
-    assert np.array_equal(res.sel_freq_alt, alt_counts / n)
     mean = sq.mean(axis=0)
     np.testing.assert_allclose(res.mse_emp, mean, rtol=1e-12, atol=atol)
     np.testing.assert_allclose(res.mse_theory, np.mean(theory, axis=0), rtol=1e-12, atol=atol)

@@ -216,6 +216,22 @@ def test_select_rank_noiseless_planted_tie_break():
     assert sel.r_star == 2
 
 
+@pytest.mark.parametrize(
+    "coefficients, r_star",
+    [([2.0, 0.5, 0.5, 0.125], 1), ([2.0, 1.0, 0.5, 0.125], 2)],
+    ids=["ranks-1-2-3-tie", "ranks-2-3-tie"],
+)
+def test_select_rank_picks_the_smallest_rank_on_exact_ties(coefficients, r_star):
+    # dyadic coefficients whose squared scores equal 2 sigma2 exactly make
+    # consecutive objective values tie in floating point
+    U = np.eye(8)[:, :4]
+    basis = order_by_scores(U, np.array(coefficients + [0.0] * 4))
+    sel = select_rank_ls(basis, sigma2=0.125, p=4)
+    tied = sel.objective == np.min(sel.objective)
+    assert np.count_nonzero(tied) >= 2
+    assert sel.r_star == int(np.argmax(tied)) + 1 == r_star
+
+
 def test_select_rank_objective_recomputable(planted):
     real = sample_ls(planted, 77, 0)
     basis = order_by_scores(svd(planted.H).U, real.y)

@@ -1,5 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rrtls import (
     DegenerateSolutionError,
@@ -333,11 +337,65 @@ def test_bias_recipe_variant_formula():
     for q in range(1, p + 1):
         expected = float(np.sum(scores[q:])) + sigma2 * (1.0 + t) * (2 * q - (p + 1))
         assert variant[q - 1] == pytest.approx(expected, rel=1e-12)
-    # the two corrections genuinely disagree (surfaced, not reconciled)
+    # the correction terms differ, but only by a q-independent affine map:
+    # (1 + t) * printed - variant = sigma2 (1 + t) (2p + 1) at every rank,
+    # so the two objectives have the same argmin
     printed = q_objective(scores, sigma2, p, t, "oracle").values
     tails = np.array([float(np.sum(scores[q:])) for q in range(1, p + 1)])
     gap = (printed - tails / (1.0 + t)) - (variant - tails)
     assert np.all(np.abs(gap) > 0)
+    np.testing.assert_allclose((1.0 + t) * printed - variant,
+                               sigma2 * (1.0 + t) * (2 * p + 1), rtol=1e-12)
+
+
+# Subnormal inputs are left out: dividing by 1 + t can round two distinct
+# subnormal objective values to one (scores [1, 5e-324, 0], sigma2 0, t 1).
+_normal_floats = partial(st.floats, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    retained=st.lists(_normal_floats(0.0, 1e6), min_size=1, max_size=8),
+    discarded=_normal_floats(0.0, 1e6),
+    sigma2=_normal_floats(0.0, 1e3),
+    t=_normal_floats(0.0, 1e3),
+)
+def test_bias_recipe_selects_the_primary_rank(retained, discarded, sigma2, t):
+    # with s = sigma2 (1 + t) both objectives are increasing affine maps of
+    # tail_q + 2 s q, so their argmins agree away from floating-point ties
+    p = len(retained)
+    scores = np.append(np.sort(retained)[::-1], discarded)
+    s = sigma2 * (1.0 + t)
+    key = np.array([np.sum(scores[q:]) + 2 * s * q for q in range(1, p + 1)])
+    if p > 1:
+        lo, hi = np.sort(key)[:2]
+        assume(hi - lo > 1e-9 * hi)
+    q_star = q_objective(scores, sigma2, p, t, "oracle").q_star
+    assert int(np.argmin(q_objective_bias_recipe(scores, sigma2, p, t))) + 1 == q_star
+
+
+def test_q_objective_picks_the_smallest_rank_on_exact_ties():
+    # dyadic scores with scores[1] = scores[2] = 2 sigma2 (1 + t): ranks 1-3
+    # tie exactly in floating point, and so does the bias recipe
+    scores = np.array([4.0, 0.25, 0.25, 0.015625, 0.5])
+    qobj = q_objective(scores, 0.0625, 4, 1.0, "oracle")
+    assert qobj.values[0] == qobj.values[1] == qobj.values[2] < qobj.values[3]
+    assert qobj.q_star == 1
+    variant = q_objective_bias_recipe(scores, 0.0625, 4, 1.0)
+    assert variant[0] == variant[1] == variant[2] < variant[3]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_tls_solution_is_column_permutation_equivariant(seed, data):
+    # permuting the columns of H permutes theta_hat and leaves x_hat alone
+    model = make_model(seed)
+    real = sample_tls(model, SEED, 0)
+    perm = np.array(data.draw(st.permutations(range(4))))
+    est = tls_solve(real.H_tilde, real.y)
+    permuted = tls_solve(real.H_tilde[:, perm], real.y)
+    np.testing.assert_allclose(permuted.theta_hat, est.theta_hat[perm], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(permuted.x_hat, est.x_hat, rtol=0, atol=1e-12)
 
 
 def test_certificate_trivial_cases():
