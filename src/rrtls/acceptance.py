@@ -218,11 +218,9 @@ def _criteria_6_7_8(seed: int):
     # 6: equivalence with the classical smallest-right-singular-vector solution
     instances = []
     rel_diffs = []
-    attempts = 0
     k = 0
     failures = 0
-    while len(rel_diffs) < 100 and attempts < 300:
-        attempts += 1
+    while len(rel_diffs) < 100 and k < 300:
         gen = trial_rng(seed + 6, k)
         k += 1
         H = gen.standard_normal((20, 5))

@@ -57,6 +57,7 @@ from .tls import (  # noqa: F401
     _q_values,
     _tls_full_mse,
     augmented_scores,
+    norm_dependence_certificate,
     q_objective,
     q_objective_bias_recipe,
     tls_factor_stack,
@@ -190,7 +191,7 @@ class VecStats:
 # Specs and results
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     """What to simulate: model, estimator family, trial budget and seed.
 
@@ -198,7 +199,7 @@ class ExperimentSpec:
     reduced-TLS selection objective obtains the squared parameter norm (the
     oracle value from the model, or a caller-supplied upper bound); additive
     families take only the oracle mode, and a bound is given exactly in
-    bound mode.
+    bound mode.  The spec is frozen, so these rules hold for its lifetime.
     """
 
     model: MeasurementModel
@@ -328,30 +329,6 @@ def _chunk_rows(draw_size: int) -> int:
     return min(1024, max(1, 2**16 // draw_size))
 
 
-class _Accumulator:
-    """Run totals: moments merged chunk by chunk, and selection and
-    failure counts."""
-
-    def __init__(self, p: int):
-        self.sq = VecStats((p,))
-        self.auto = VecStats(())
-        self.norm = VecStats(())
-        self.theory = VecStats((p,))
-        self.risk = VecStats((p,))
-        self.formula_full = VecStats(())
-        self.sel_counts = np.zeros(p, dtype=np.int64)
-        self.failures: Dict[str, int] = {}
-
-    def add_chunk(self, sq: np.ndarray, r_index: np.ndarray, **blocks) -> None:
-        """Merge the completed trials of one chunk: their per-rank squared
-        errors ``sq`` (b, p), their selected ranks as 0-based indices, and
-        further per-trial rows by accumulator name."""
-        blocks.update(sq=sq, auto=sq[np.arange(sq.shape[0]), r_index])
-        for name, rows in blocks.items():
-            getattr(self, name).merge(VecStats.from_block(rows))
-        self.sel_counts += np.bincount(r_index, minlength=self.sel_counts.shape[0])
-
-
 def _rank_sq_errors(diff: np.ndarray, d: np.ndarray, resid) -> np.ndarray:
     # |x - sum_{j<=r} c_j u_j|^2 for every rank r, row-wise over (b, p)
     # blocks of ordered coefficients, as a sum of squares: kept coefficient
@@ -414,13 +391,15 @@ def _eiv_kernel(spec: ExperimentSpec, start: int, stop: int, failures: Dict[str,
 
 
 def _additive_chunk(spec: ExperimentSpec, U: np.ndarray, d: np.ndarray, resid: float,
-                    start: int, stop: int, acc: _Accumulator) -> None:
+                    start: int, stop: int):
     """Trials ``[start, stop)`` of the additive model as stacked arrays.
 
     ``U`` is the run's left singular basis, ``d = U'x`` and ``resid =
     |x - U U'x|^2``.  ``C = Y U`` holds every trial's coefficients; each
     row is ordered by descending score (stable, so ties keep the column
-    order) and the rank arms and the selected rank come out row-wise.
+    order).  Returns the rows ``(sq, index, blocks)``: squared errors per
+    rank (b, p), selected ranks as 0-based indices, and the arms ``risk``
+    (risk estimate per rank) and, for ``sigma2 > 0``, ``norm``.
     """
     model = spec.model
     Y = _sample_block(spec, start, stop)
@@ -434,21 +413,20 @@ def _additive_chunk(spec: ExperimentSpec, U: np.ndarray, d: np.ndarray, resid: f
     blocks = {"risk": objective}
     if model.sigma2 > 0:
         blocks["norm"] = sq[:, -1] / model.sigma2
-    acc.add_chunk(sq, np.argmin(objective, axis=1), **blocks)
+    return sq, np.argmin(objective, axis=1), blocks
 
 
-def _eiv_chunk(spec: ExperimentSpec, start: int, stop: int, acc: _Accumulator) -> None:
+def _eiv_chunk(spec: ExperimentSpec, failures: Dict[str, int], start: int, stop: int):
     """Trials ``[start, stop)`` of the errors-in-variables model as stacked
-    arrays (``_eiv_kernel``).  The per-rank errors, selections and theory
-    column come out row-wise from the coefficients of y and x on each
-    trial's ordered retained columns; the corrected signal is
-    ``U_s (core theta)``."""
+    arrays (``_eiv_kernel``), rejected trials counted into ``failures``.
+    Returns the solved trials' rows as ``_additive_chunk`` does, with the
+    arms ``theory`` and ``formula_full`` (all empty if none is solved),
+    from the coefficients of y and x on each trial's ordered retained
+    columns; the corrected signal is ``U_s (core theta)``."""
     model = spec.model
     p, x, sigma2 = model.p, model.x, model.sigma2
     t_val = model.theta_norm2 if spec.tls_mode == "oracle" else float(spec.bound)
-    _, U, core, coef, order, scores = _eiv_kernel(spec, start, stop, acc.failures)
-    if not coef.shape[0]:
-        return
+    _, U, core, coef, order, scores = _eiv_kernel(spec, start, stop, failures)
     Us = U[..., :p]
     coef_x = x @ U
     d = np.take_along_axis(coef_x[:, :p], order, axis=1)
@@ -459,7 +437,7 @@ def _eiv_chunk(spec: ExperimentSpec, start: int, stop: int, acc: _Accumulator) -
     theory = tail_sums(d_aug * d_aug)[:, :p] + np.arange(1, p + 1) * sigma2
     formula = _tls_full_mse(model, (Us @ (core @ model.theta)[..., None])[..., 0])
     q_index = np.argmin(_q_values(scores, sigma2, p, t_val), axis=1)
-    acc.add_chunk(sq, q_index, theory=theory, formula_full=formula)
+    return sq, q_index, {"theory": theory, "formula_full": formula}
 
 
 # ---------------------------------------------------------------------------
@@ -472,23 +450,24 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     Trials run in order, in chunks of consecutive trial indices
     ``[start, stop)`` whose size the engine fixes from the per-trial draw
     size alone (``N`` floats for the additive model, ``N (p + 1)`` for
-    errors-in-variables), and each chunk is evaluated as stacked arrays;
-    each chunk's moments are merged into the totals in chunk order, so a
-    seed fixes every aggregate bit for bit.  No per-trial rows are kept:
-    the result holds only the aggregates.
-
-    Additive runs also aggregate the risk estimate per rank (minus
-    ``sigma2 * r`` it is ``ls.bias_estimate``'s corrected statistic) and,
-    for ``sigma2 > 0``, the normalized full-rank error's moment report.
+    errors-in-variables).  A chunk kernel returns its completed trials'
+    rows for each arm of its observation model, and each arm's moments are
+    merged into the totals in chunk order, so a seed fixes every aggregate
+    bit for bit.  No per-trial rows are kept.  An Optional result field is
+    set exactly when its arm has a completed trial (the moment report of
+    ``norm`` needs two); the risk estimate minus ``sigma2 * r`` is
+    ``ls.bias_estimate``'s corrected statistic.
 
     Per-trial estimator failures (e.g. TLS nonuniqueness) are counted per
     error code and excluded from the aggregates, never imputed.
     """
     model = spec.model
     p = model.p
-    eiv = spec.observation == ERRORS_IN_VARIABLES
-    if eiv:
-        chunk = partial(_eiv_chunk, spec)
+    failures: Dict[str, int] = {}
+    if spec.observation == ERRORS_IN_VARIABLES:
+        # replaced by the theory arm's mean once a trial completes
+        mse_theory = np.full(p, np.nan)
+        chunk = partial(_eiv_chunk, spec, failures)
         rows = _chunk_rows(model.N * (p + 1))
     else:
         U = svd(model.H).U
@@ -499,39 +478,41 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         rho = model.x - U @ d
         chunk = partial(_additive_chunk, spec, U, d, float(rho @ rho))
         rows = _chunk_rows(model.N)
-    acc = _Accumulator(p)
+    totals: Dict[str, VecStats] = {}
+    sel_counts = np.zeros(p, dtype=np.int64)
     for start in range(0, spec.trials, rows):
-        chunk(start, min(start + rows, spec.trials), acc)
+        sq, index, blocks = chunk(start, min(start + rows, spec.trials))
+        blocks.update(sq=sq, auto=sq[np.arange(sq.shape[0]), index])
+        for name, block in blocks.items():
+            totals.setdefault(name, VecStats(block.shape[1:])).merge(VecStats.from_block(block))
+        sel_counts += np.bincount(index, minlength=p)
 
-    completed = acc.sq.n
-    if eiv:
-        mse_theory = acc.theory.mean if completed else np.full(p, np.nan)
-    mse_emp = acc.sq.mean if completed else np.full(p, np.nan)
-    mse_se = acc.sq.se()
-    sel_freq = acc.sel_counts / completed if completed else np.zeros(p)
+    means = {name: stats.mean for name, stats in totals.items() if stats.n}
+    completed = totals["sq"].n
+    mse_emp = means.get("sq", np.full(p, np.nan))
+    mse_theory = means.get("theory", mse_theory)
+    mse_se = totals["sq"].se()
     diff = np.abs(mse_emp - mse_theory)
     se_term = np.where(np.isfinite(mse_se), 3.0 * mse_se, 0.0)
     row_pass = diff <= np.maximum(MSE_RTOL * np.abs(mse_theory), se_term)
-    moments = None
-    if not eiv and model.sigma2 > 0 and completed >= 2:
-        moments = _moment_report(acc.norm, p)
+    norm = totals.get("norm")
     return ExperimentResult(
         family=spec.family,
         trials=spec.trials,
         seed=spec.seed,
         completed=completed,
-        failures=dict(sorted(acc.failures.items())),
+        failures=dict(sorted(failures.items())),
         ranks=np.arange(1, p + 1),
         mse_emp=mse_emp,
         mse_se=mse_se,
-        mse_theory=np.asarray(mse_theory, dtype=float),
-        sel_freq=sel_freq,
-        auto_mse=float(acc.auto.mean) if completed else float("nan"),
-        auto_se=float(acc.auto.se()) if completed else float("nan"),
-        risk_estimate_mean=(np.asarray(acc.risk.mean) if not eiv and completed else None),
-        risk_estimate_se=(np.asarray(acc.risk.se()) if not eiv and completed else None),
-        tls_full_formula_mean=(float(acc.formula_full.mean) if eiv and completed else None),
-        moments=moments,
+        mse_theory=mse_theory,
+        sel_freq=sel_counts / completed if completed else np.zeros(p),
+        auto_mse=float(means.get("auto", np.nan)),
+        auto_se=float(totals["auto"].se()),
+        risk_estimate_mean=means.get("risk"),
+        risk_estimate_se=totals["risk"].se() if "risk" in means else None,
+        tls_full_formula_mean=float(means["formula_full"]) if "formula_full" in means else None,
+        moments=_moment_report(norm, p) if norm is not None and norm.n >= 2 else None,
         row_pass=row_pass,
     )
 
@@ -659,8 +640,6 @@ def search_norm_dependence_witness(
     appears within ``MAX_WITNESS_TRIES`` draws (with the default ranges a witness
     is found almost immediately).
     """
-    from .tls import norm_dependence_certificate
-
     rng = _aux_rng(seed, 4)
     for attempt in range(1, MAX_WITNESS_TRIES + 1):
         scores = sigma2 * np.sort(rng.uniform(0.0, 12.0, size=p + 1))[::-1]

@@ -17,6 +17,7 @@ rule exists.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -272,6 +273,19 @@ def augmented_scores(basis: OrderedBasis, u_s, y) -> np.ndarray:
     return np.append(basis.scores, float(u_s @ y) ** 2)
 
 
+def _rule_scores(scores, sigma2: float, p: int, theta_norm2: float) -> np.ndarray:
+    """The checked inputs of a TLS rank rule: ``p`` a positive integer
+    (bools rejected), ``p + 1`` augmented scores, returned flat, and the
+    checks of ``ls._check_rule_inputs``."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
+        raise ValueError(f"p must be a positive integer, got {p!r}")
+    scores = np.asarray(scores, dtype=float).reshape(-1)
+    if scores.shape[0] != p + 1:
+        raise ValueError(f"expected p + 1 = {p + 1} scores, got {scores.shape[0]}")
+    _check_rule_inputs(scores, sigma2, theta_norm2)
+    return scores
+
+
 def q_objective(scores, sigma2: float, p: int, theta_norm2: float, mode: str) -> QObjective:
     """Rank objective for the reduced TLS hypothesis.
 
@@ -280,10 +294,7 @@ def q_objective(scores, sigma2: float, p: int, theta_norm2: float, mode: str) ->
     upper bound, per ``mode``.  The argmin resolves ties toward the
     smallest rank.
     """
-    scores = np.asarray(scores, dtype=float).reshape(-1)
-    if scores.shape[0] != p + 1:
-        raise ValueError(f"expected p + 1 = {p + 1} scores, got {scores.shape[0]}")
-    _check_rule_inputs(scores, sigma2, theta_norm2)
+    scores = _rule_scores(scores, sigma2, p, theta_norm2)
     if np.any(np.diff(scores[:p]) > 0):
         raise ValueError("the first p scores must be nonincreasing")
     if mode not in Q_MODES:
@@ -307,10 +318,7 @@ def q_objective_bias_recipe(scores, sigma2: float, p: int, theta_norm2: float) -
     same rank up to floating-point ties; the grid report of
     ``harness.compare_selection_rules`` still shows both selections.
     """
-    scores = np.asarray(scores, dtype=float).reshape(-1)
-    if scores.shape[0] != p + 1:
-        raise ValueError(f"expected p + 1 = {p + 1} scores, got {scores.shape[0]}")
-    _check_rule_inputs(scores, sigma2, theta_norm2)
+    scores = _rule_scores(scores, sigma2, p, theta_norm2)
     return risk_objective(scores, sigma2 * (1.0 + float(theta_norm2)))[:p]
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,13 +112,14 @@ def _spy_sq_rows(monkeypatch):
     """Record the per-rank squared errors (b, p) of every chunk the engine
     merges into its totals, in merge order (trial order)."""
     rows = []
-    add_chunk = harness_mod._Accumulator.add_chunk
+    rank_sq_errors = harness_mod._rank_sq_errors
 
-    def spy(self, sq, r_index, **blocks):
+    def spy(*args):
+        sq = rank_sq_errors(*args)
         rows.append(sq)
-        add_chunk(self, sq, r_index, **blocks)
+        return sq
 
-    monkeypatch.setattr(harness_mod._Accumulator, "add_chunk", spy)
+    monkeypatch.setattr(harness_mod, "_rank_sq_errors", spy)
     return rows
 
 
@@ -141,6 +144,14 @@ def test_tls_run_reports_conditional_theory_and_formula():
     assert res.mse_theory.shape == (4,)
     # conditional theory mean tracks the empirical MSE loosely at small noise
     assert np.all(res.mse_theory > 0)
+
+
+@pytest.mark.parametrize("field, value", [("trials", -5), ("family", "tls"), ("tls_mode", "bogus")])
+def test_spec_fields_cannot_be_reassigned(field, value):
+    # reassignment would get round the rules __post_init__ checks
+    spec = ExperimentSpec(model=small_model(), family="rrls", trials=10, seed=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(spec, field, value)
 
 
 def test_rank_policy_validation():
@@ -199,7 +210,42 @@ def test_kept_rows_keep_their_shape_when_every_trial_is_rejected(monkeypatch):
     spec = ExperimentSpec(model=tls_model(), family="rrtls", trials=10, seed=69)
     res = run(spec)
     assert res.completed == 0 and res.failures == {"nonunique-tls": 10}
-    assert rows == []  # no chunk merges rows into the totals
+    assert np.concatenate(rows).shape == (0, 4)  # no chunk merges rows into the totals
+    # no aggregate without a completed trial
+    assert res.risk_estimate_mean is None and res.risk_estimate_se is None
+    assert res.moments is None and res.tls_full_formula_mean is None
+    for column in (res.mse_emp, res.mse_se, res.mse_theory):
+        assert column.shape == (4,) and np.isnan(column).all()
+    assert np.isnan(res.auto_mse) and np.isnan(res.auto_se)
+    assert np.array_equal(res.sel_freq, np.zeros(4))
+
+
+@pytest.mark.parametrize(
+    "family, sigma2, trials, has_risk, has_moments, has_formula",
+    [
+        ("rrls", 0.25, 2, True, True, False),
+        ("rrls", 0.25, 1, True, False, False),
+        ("ls", 0.0, 3, True, False, False),
+        ("tls", 0.25, 3, False, False, True),
+    ],
+    ids=["rrls-2-trials", "rrls-1-trial", "ls-noiseless", "tls"],
+)
+def test_optional_result_fields_follow_the_aggregated_arms(family, sigma2, trials, has_risk,
+                                                          has_moments, has_formula):
+    spec = ExperimentSpec(model=tls_model(sigma2=sigma2), family=family, trials=trials, seed=71)
+    res = run(spec)
+    assert res.completed == trials
+    assert (res.risk_estimate_mean is not None) == has_risk
+    assert (res.risk_estimate_se is not None) == has_risk
+    if has_risk:
+        assert res.risk_estimate_mean.shape == res.risk_estimate_se.shape == (4,)
+    assert (res.moments is not None) == has_moments
+    if has_moments:
+        assert res.moments.n == trials and res.moments.dof == 4
+    if has_formula:
+        assert isinstance(res.tls_full_formula_mean, float)
+    else:
+        assert res.tls_full_formula_mean is None
 
 
 def test_vecstats_merge_matches_streaming():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrtls import (
     ExperimentSpec,
@@ -230,6 +232,25 @@ def test_select_rank_picks_the_smallest_rank_on_exact_ties(coefficients, r_star)
     tied = sel.objective == np.min(sel.objective)
     assert np.count_nonzero(tied) >= 2
     assert sel.r_star == int(np.argmax(tied)) + 1 == r_star
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coefficients=st.lists(st.one_of(st.just(0.0), st.floats(1e-25, 1e25)), min_size=1, max_size=8),
+    sigma2=st.one_of(st.just(0.0), st.floats(1e-50, 1e50)),
+    k=st.integers(-20, 20),
+)
+def test_select_rank_is_scale_equivariant(coefficients, sigma2, k):
+    # scaling y by 2**k scales the scores, like sigma2, by 4**k exactly (the
+    # magnitudes keep every intermediate a normal float), so the objective
+    # scales by 4**k and the selected rank stays
+    p = len(coefficients)
+    U = np.eye(2 * p)[:, :p]
+    y = np.array(coefficients + [0.0] * p)
+    sel = select_rank_ls(order_by_scores(U, y), sigma2, p)
+    scaled = select_rank_ls(order_by_scores(U, 2.0**k * y), 4.0**k * sigma2, p)
+    assert np.array_equal(scaled.objective, 4.0**k * sel.objective)
+    assert scaled.r_star == sel.r_star
 
 
 def test_select_rank_objective_recomputable(planted):

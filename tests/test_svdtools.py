@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrtls import OrderedBasis, ls_reduced, order_by_scores, projector, svd
 
@@ -166,6 +168,23 @@ def test_sign_invariance(seed):
     for r in (1, 2, 3, 4):
         assert np.array_equal(projector(basis, r), projector(flipped, r))
         assert np.array_equal(ls_reduced(basis, y, r), ls_reduced(flipped, y, r))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_ordering_is_invariant_under_column_signs(seed, data):
+    rng = np.random.default_rng(seed)
+    N = data.draw(st.integers(1, 10))
+    k = data.draw(st.integers(1, N))
+    U = random_orthonormal(N, k, seed=seed)
+    y = rng.standard_normal(N)
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k, max_size=k)))
+    basis = order_by_scores(U, y)
+    flipped = order_by_scores(U * signs, y)
+    assert np.array_equal(flipped.scores, basis.scores)
+    assert np.array_equal(flipped.permutation, basis.permutation)
+    # the ordered columns carry their signs
+    assert np.array_equal(flipped.columns, basis.columns * signs[basis.permutation])
 
 
 def test_ordered_basis_is_immutable():

@@ -313,6 +313,18 @@ def test_q_rules_reject_invalid_inputs(sigma2, theta_norm2, scores):
         q_objective_bias_recipe(np.array(scores), sigma2, 2, theta_norm2)
 
 
+@pytest.mark.parametrize("p", [0, -1, True, 2.5], ids=["zero", "negative", "bool", "float"])
+def test_q_rules_reject_a_rank_count_that_is_not_a_positive_integer(p):
+    # unchecked, p=0 fails inside numpy's argmin, p=-1 reports "p + 1 = 0
+    # scores" and p=True runs as p=1
+    with pytest.raises(ValueError, match="p must be a positive integer"):
+        q_objective([1.0, 1.0], 0.1, p, 1.0, "oracle")
+    with pytest.raises(ValueError, match="p must be a positive integer"):
+        q_objective_bias_recipe([1.0, 1.0], 0.1, p, 1.0)
+    with pytest.raises(ValueError, match="p must be a positive integer"):
+        norm_dependence_certificate([0.0, 1.0], [1.0, 1.0], 0.1, p)
+
+
 def test_q_objective_bound_mode_matches_oracle_formula():
     scores = np.array([6.0, 2.0, 1.0, 0.5, 0.1])
     a = q_objective(scores, 0.2, 4, 1.5, "oracle")
@@ -396,6 +408,45 @@ def test_tls_solution_is_column_permutation_equivariant(seed, data):
     permuted = tls_solve(real.H_tilde[:, perm], real.y)
     np.testing.assert_allclose(permuted.theta_hat, est.theta_hat[perm], rtol=0, atol=1e-12)
     np.testing.assert_allclose(permuted.x_hat, est.x_hat, rtol=0, atol=1e-12)
+
+
+# Magnitudes keep every intermediate of the scaled objective a normal float,
+# so a power-of-two scale is exact.
+_scaled_floats = st.one_of(st.just(0.0), st.floats(1e-50, 1e50))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    retained=st.lists(_scaled_floats, min_size=1, max_size=8),
+    discarded=_scaled_floats,
+    sigma2=_scaled_floats,
+    t=st.floats(0.0, 1e3),
+    k=st.integers(-20, 20),
+)
+def test_q_objective_is_scale_equivariant(retained, discarded, sigma2, t, k):
+    # scaling the scores and sigma2 by 4**k scales every objective value
+    # by 4**k exactly, so the selected rank stays
+    p = len(retained)
+    scores = np.append(np.sort(retained)[::-1], discarded)
+    c = 4.0**k
+    qobj = q_objective(scores, sigma2, p, t, "oracle")
+    scaled = q_objective(c * scores, c * sigma2, p, t, "oracle")
+    assert np.array_equal(scaled.values, c * qobj.values)
+    assert scaled.q_star == qobj.q_star
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_tls_solution_is_orthogonally_invariant(seed):
+    # rotating the rows of H and y leaves theta_hat alone and rotates x_hat
+    model = make_model(seed)
+    real = sample_tls(model, SEED, 0)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((model.N, model.N)))
+    est = tls_solve(real.H_tilde, real.y)
+    rotated = tls_solve(Q @ real.H_tilde, Q @ real.y)
+    np.testing.assert_allclose(rotated.theta_hat, est.theta_hat, rtol=1e-9)
+    np.testing.assert_allclose(rotated.x_hat, Q @ est.x_hat, rtol=1e-9,
+                               atol=1e-12 * np.linalg.norm(real.y))
 
 
 def test_certificate_trivial_cases():
