@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SingularModelError
 from .model import RANK_RTOL, MeasurementModel, _frozen_array
-from .svdtools import OrderedBasis, check_rank, svd
+from .svdtools import OrderedBasis, check_rank, finite_vector, svd
 
 
 @dataclass(frozen=True)
@@ -78,14 +78,17 @@ def ls_full(H, y) -> LsEstimate:
 
     Raises
     ------
+    ValueError
+        If H is not a finite tall-or-square matrix, or y does not hold one
+        finite entry per row of H.
     SingularModelError
         If the smallest singular value of H is at or below
         ``model.RANK_RTOL`` (1e-10) times the largest, the threshold
         :class:`MeasurementModel` applies to its design matrix.
     """
     H = np.asarray(H, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
     f = svd(H)
+    y = finite_vector(y, "y", H.shape[0])
     if f.S[-1] <= RANK_RTOL * f.S[0]:
         raise SingularModelError(
             f"design matrix is numerically singular: smallest singular value "
@@ -101,7 +104,7 @@ def ls_full(H, y) -> LsEstimate:
 def ls_reduced(basis: OrderedBasis, y, r: int) -> np.ndarray:
     """Rank-r estimate of the signal: projection of y onto the span of the
     first r ordered columns."""
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = finite_vector(y, "y", basis.columns.shape[0])
     check_rank(basis, r)
     Ur = basis.columns[:, :r]
     return Ur @ (Ur.T @ y)
@@ -158,8 +161,9 @@ def bias_estimate(basis: OrderedBasis, y, r: int, sigma2: float) -> BiasEstimate
     ``sigma2 * (p - r)`` in expectation, so that amount is subtracted to
     form the corrected value.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = finite_vector(y, "y", basis.columns.shape[0])
     check_rank(basis, r)
+    _check_rule_inputs(basis.scores, sigma2)
     tail = basis.columns[:, r:]
     b_hat = tail @ (tail.T @ y)
     corrected = float(b_hat @ b_hat - sigma2 * (basis.k - r))

@@ -11,11 +11,14 @@ substream per trial (``trial_rng``: PCG64 seeded by
 ``sample_ls``/``sample_tls`` draw one trial.  The block sampler
 (``sample_ls_block``/``sample_tls_block``, not exported) draws a range of
 consecutive trials into one stacked array, bit-identical to stacking the
-per-trial draws: it replays SeedSequence's hash vectorized over aligned
-windows of 1024 trials and PCG64's seeding in Python ints, then sets one
-reused PCG64 to each trial's state instead of building a generator per
-trial.  Seeds or trials of 2**32 and more (SeedSequence then hashes more
-entropy words) are drawn through ``trial_rng`` itself.
+per-trial draws: it replays SeedSequence's hash and PCG64's seeding in
+uint64 limbs, vectorized over aligned windows of 1024 trials, and writes
+each trial's four state words into one reused PCG64 instead of building a
+generator per trial.  The write is one 32-byte copy into the generator's
+state, behind a layout probe that checks the words through the public
+``bitgen.state`` setter; where the probe fails, the setter itself sets each
+trial's state.  Seeds or trials of 2**32 and more (SeedSequence then hashes
+more entropy words) are drawn through ``trial_rng`` itself.
 
 Two observation models are supported:
 
@@ -30,6 +33,7 @@ Two observation models are supported:
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -80,7 +84,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32, _MASK64 = 2**32 - 1, 2**64 - 1
 _WINDOW = 1024
 
 
@@ -99,17 +103,36 @@ def _hashmix(value: np.ndarray, consts) -> np.ndarray:
     return value ^ (value >> 16)
 
 
+def _add128(a_lo, a_hi, b_lo, b_hi):
+    # (a + b) mod 2**128 in uint64 limbs.
+    lo = a_lo + b_lo
+    return lo, a_hi + b_hi + (lo < a_lo)
+
+
+def _mul128(lo, hi, mult: int):
+    # (hi * 2**64 + lo) * mult mod 2**128 in uint64 limbs: the full 128-bit
+    # product of the low words from 32-bit halves, plus the two cross terms.
+    m_lo, m_hi = np.uint64(mult & _MASK64), np.uint64(mult >> 64)
+    a0, a1, b0, b1 = lo & _MASK32, lo >> 32, m_lo & _MASK32, m_lo >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return lo * m_lo, carry + hi * m_lo + lo * m_hi
+
+
 @lru_cache(maxsize=1)
-def _pcg64_states(seed: int, window: int) -> tuple:
-    """``(state, inc)`` of the PCG64 that ``trial_rng(seed, t)`` builds, for
-    the trials ``t`` of one aligned window ``[window * _WINDOW, ...)``.
+def _pcg64_states(seed: int, window: int) -> np.ndarray:
+    """State words of the PCG64 that ``trial_rng(seed, t)`` builds, for the
+    trials ``t`` of one aligned window ``[window * _WINDOW, ...)``: a
+    read-only (``_WINDOW``, 4) uint64 array whose row ``t - window *
+    _WINDOW`` is ``state_lo, state_hi, inc_lo, inc_hi``.
 
     Vectorizes SeedSequence's entropy mixing over the window's two-word
     entropies ``[seed, t]`` (both below 2**32) and its ``generate_state(4,
-    uint64)``, then runs PCG64's seeding (two LCG steps) in Python ints.
-    The last window is kept: a run's chunks walk the windows in order, and
-    chunks far smaller than a window (7 trials at N=256, p=32) share one
-    hash.
+    uint64)``, then PCG64's seeding, ``inc = 2 i + 1`` and ``state = (inc +
+    s) * MULT + inc`` mod 2**128, in uint64 limbs.  The last window is kept:
+    a run's chunks walk the windows in order, and chunks far smaller than a
+    window (7 trials at N=256, p=32) share one hash.
     """
     trials = np.arange(window * _WINDOW, (window + 1) * _WINDOW, dtype=np.uint32)
     consts = _hash_consts(_INIT_A, _MULT_A)
@@ -122,28 +145,51 @@ def _pcg64_states(seed: int, window: int) -> tuple:
                 pool[dst] = mixed ^ (mixed >> 16)
     consts = _hash_consts(_INIT_B, _MULT_B)
     words = [_hashmix(pool[k % 4], consts).astype(np.uint64) for k in range(8)]
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        (words[2 * k] | words[2 * k + 1] << 32).tolist() for k in range(4))
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
-    return tuple(states)
+    s_hi, s_lo, i_hi, i_lo = (words[2 * k] | words[2 * k + 1] << 32 for k in range(4))
+    inc_lo, inc_hi = i_lo << 1 | np.uint64(1), i_hi << 1 | i_lo >> 63
+    state = _add128(*_mul128(*_add128(inc_lo, inc_hi, s_lo, s_hi), _PCG_MULT), inc_lo, inc_hi)
+    states = np.stack([*state, inc_lo, inc_hi], axis=1)
+    states.setflags(write=False)
+    return states
+
+
+def _state_words(bitgen: np.random.PCG64) -> Optional[np.ndarray]:
+    """Writable view of ``bitgen``'s ``state, inc`` pair as one 32-byte
+    void item, valid while ``bitgen`` lives; None unless the layout probe
+    reads back, as ``state_lo, state_hi, inc_lo, inc_hi``, the words it set
+    through the public setter (a big-endian build or 128-bit integers
+    emulated as ``{high, low}`` fail it).  ``bitgen.ctypes.state_address``
+    points to numpy's ``pcg64_state``, whose first field points to the pair.
+    """
+    pair = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    words = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(pair))
+    probe = np.array([1, 2, 3, 4], np.uint64)
+    _set_state(bitgen, probe)
+    return words.view("V32") if np.array_equal(words, probe) else None
+
+
+def _set_state(bitgen: np.random.PCG64, words) -> None:
+    # The public setter, from ``state_lo, state_hi, inc_lo, inc_hi``.
+    s_lo, s_hi, i_lo, i_hi = (int(w) for w in words)
+    bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                    "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
 
 
 def _normal_rows(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     """Row ``i`` holds the first ``width`` standard normals of
     ``trial_rng(seed, start + i)``, bit for bit.
 
-    Trials below 2**32 of seeds below 2**32 reuse one PCG64, set to each
-    trial's seeded state; other trials (SeedSequence then hashes more than
-    two entropy words) are drawn through ``trial_rng`` itself.
+    Trials below 2**32 of seeds below 2**32 reuse one PCG64.  Each trial
+    copies its four seeded state words (``_pcg64_states``) into the
+    generator in one 32-byte write (``_state_words``); if the layout probe
+    rejects that, it sets them through the public ``bitgen.state`` setter
+    instead.  Other trials (SeedSequence then hashes more than two entropy
+    words) are drawn through ``trial_rng`` itself.
     """
     out = np.empty((stop - start, width))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    pcg = {"state": 0, "inc": 0}
-    full_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    words = _state_words(bitgen)
     trial = start
     while trial < stop:
         if seed >= 2**32 or trial >= 2**32:
@@ -152,10 +198,15 @@ def _normal_rows(seed: int, start: int, stop: int, width: int) -> np.ndarray:
             continue
         window, offset = divmod(trial, _WINDOW)
         states = _pcg64_states(seed, window)[offset:offset + stop - trial]
-        for row, (state, inc) in enumerate(states, trial - start):
-            pcg["state"], pcg["inc"] = state, inc
-            bitgen.state = full_state
-            gen.standard_normal(out=out[row])
+        rows = out[trial - start:]
+        if words is None:
+            for row, state in zip(rows, states):
+                _set_state(bitgen, state)
+                gen.standard_normal(out=row)
+        else:
+            for row, state in zip(rows, states.view("V32")[:, 0]):
+                words[0] = state
+                gen.standard_normal(out=row)
         trial += len(states)
     return out
 
@@ -194,6 +245,8 @@ class MeasurementModel:
             )
         if not (np.isfinite(H).all() and np.isfinite(theta).all()):
             raise ModelInvalidError("H and theta must be finite")
+        if isinstance(self.sigma2, (bool, np.bool_)):
+            raise ModelInvalidError(f"sigma2 must be a number, got {self.sigma2!r}")
         if not np.isfinite(self.sigma2) or self.sigma2 < 0:
             raise ModelInvalidError(f"sigma2 must be >= 0, got {self.sigma2}")
         svals = np.linalg.svd(H, compute_uv=False)

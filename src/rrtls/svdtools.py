@@ -92,17 +92,28 @@ def check_orthonormal(U) -> None:
         )
 
 
+def finite_vector(a, name: str, n: int) -> np.ndarray:
+    """``a`` as a float vector; ``ValueError`` naming ``name`` unless it has
+    ``n`` entries, all finite."""
+    v = np.asarray(a, dtype=float).reshape(-1)
+    if v.shape[0] != n:
+        raise ValueError(f"dimension mismatch: {name} has length {v.shape[0]}, expected {n}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 def order_by_scores(U, y) -> OrderedBasis:
     """Sort orthonormal columns of U by descending squared product with y.
 
     Ties are broken by ascending original column index (stable sort).
     """
     U = np.asarray(U, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if U.ndim != 2 or U.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: U is {U.shape}, y has length {y.shape[0]}"
-        )
+    if U.ndim != 2:
+        raise ValueError(f"U must be a 2-D matrix, got shape {U.shape}")
+    if not np.isfinite(U).all():
+        raise ValueError("U must be finite")
+    y = finite_vector(y, "y", U.shape[0])
     check_orthonormal(U)
     proj = U.T @ y
     scores = proj * proj

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DegenerateSolutionError, NonUniqueTlsError
 from .ls import _check_rule_inputs, ls_reduced, risk_objective, tail_sums
 from .model import MeasurementModel, _frozen_array
-from .svdtools import OrderedBasis, SvdFactorization, svd
+from .svdtools import OrderedBasis, SvdFactorization, finite_vector, svd
 
 # Relative thresholds of the TLS rejection checks (``_rejection_codes``).
 GAP_RTOL = 1e-10
@@ -233,9 +233,11 @@ def tls_factor_stack(A):
 def tls_objective(theta, H_tilde, y) -> float:
     """Normalized residual ``|H_tilde @ theta - y|^2 / (theta @ theta + 1)``,
     the quantity the TLS solution minimizes."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
     H_tilde = np.asarray(H_tilde, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    if H_tilde.ndim != 2 or not np.isfinite(H_tilde).all():
+        raise ValueError(f"H_tilde must be a finite 2-D matrix, got shape {H_tilde.shape}")
+    theta = finite_vector(theta, "theta", H_tilde.shape[1])
+    y = finite_vector(y, "y", H_tilde.shape[0])
     r = H_tilde @ theta - y
     return float(r @ r) / (float(theta @ theta) + 1.0)
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from rrtls import (
     ExperimentSpec,
+    MeasurementModel,
+    ModelInvalidError,
     SingularModelError,
     bias_estimate,
     ls_full,
@@ -18,6 +20,7 @@ from rrtls import (
     sample_ls,
     select_rank_ls,
     svd,
+    tls_objective,
 )
 
 SEED = 424201
@@ -320,3 +323,44 @@ def test_tail_sums_and_risk_objective_work_row_wise():
         np.testing.assert_allclose(tails[i], [row[j + 1:].sum() for j in range(5)], rtol=1e-14)
         assert np.array_equal(objective[i], tail_sums(row) + 0.3 * (2 * np.arange(1, 6) - 5))
     assert tail_sums(np.array([2.0])).tolist() == [0.0]
+
+
+_H6 = np.eye(6)[:, :3] + 0.1
+
+
+def _y6(bad=None):
+    y = np.arange(6.0)
+    if bad is not None:
+        y[2] = bad
+    return y
+
+
+_BAD_INPUTS = {
+    "ls_full-nan-y": (lambda: ls_full(_H6, _y6(np.nan)), ValueError, "y must be finite"),
+    "ls_full-short-y": (lambda: ls_full(_H6, _y6()[:5]), ValueError, "y has length 5, expected 6"),
+    "order-nan-y": (lambda: order_by_scores(np.eye(6)[:, :3], _y6(np.nan)), ValueError,
+                    "y must be finite"),
+    "order-nan-U": (lambda: order_by_scores(np.full((6, 3), np.nan), _y6()), ValueError,
+                    "U must be finite"),
+    "ls_reduced-inf-y": (lambda: ls_reduced(order_by_scores(np.eye(6)[:, :3], _y6()), _y6(np.inf), 2),
+                         ValueError, "y must be finite"),
+    "bias-nan-sigma2": (lambda: bias_estimate(order_by_scores(np.eye(6)[:, :3], _y6()), _y6(), 2,
+                                              sigma2=float("nan")), ValueError, "sigma2 must be finite"),
+    "bias-inf-y": (lambda: bias_estimate(order_by_scores(np.eye(6)[:, :3], _y6()), _y6(-np.inf), 2,
+                                         sigma2=0.1), ValueError, "y must be finite"),
+    "tls_objective-nan-y": (lambda: tls_objective(np.ones(3), _H6, _y6(np.nan)), ValueError,
+                            "y must be finite"),
+    "tls_objective-short-theta": (lambda: tls_objective(np.ones(2), _H6, _y6()), ValueError,
+                                  "theta has length 2, expected 3"),
+    "model-bool-sigma2": (lambda: MeasurementModel(_H6, np.ones(3), sigma2=True), ModelInvalidError,
+                          "sigma2 must be a number, got True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_public_ls_layer_rejects_bad_input_by_name(case):
+    # unchecked, each of these returned NaN, inf or a silently coerced value,
+    # or failed inside numpy without naming the argument
+    call, error, message = _BAD_INPUTS[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,14 @@ from rrtls import (
     spectrum_model,
     trial_rng,
 )
-from rrtls.model import _aux_rng, sample_ls_block, sample_tls_block
+from rrtls.model import (
+    _WINDOW,
+    _aux_rng,
+    _pcg64_states,
+    _state_words,
+    sample_ls_block,
+    sample_tls_block,
+)
 
 SEED = 20260808
 
@@ -282,3 +291,46 @@ def test_blocks_match_per_trial_draws_property(seed, start, b, shape, sigma2):
     rng = np.random.default_rng(N * 100 + p)
     m = MeasurementModel(H=rng.standard_normal((N, p)), theta=rng.standard_normal(p), sigma2=sigma2)
     _assert_blocks_match_per_trial(m, seed, start, start + b)
+
+
+# ---------------------------------------------------------------------------
+# block sampler internals: seeded state words and the raw state write
+# ---------------------------------------------------------------------------
+
+def _seeded_words(seed, trial):
+    pcg = trial_rng(seed, trial).bit_generator.state["state"]
+    return [w >> s & (2**64 - 1) for w in (pcg["state"], pcg["inc"]) for s in (0, 64)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32 - 1])
+@pytest.mark.parametrize("window", [0, 1, 2**22 - 1])
+def test_pcg64_states_are_the_seeded_generators_words(seed, window):
+    # full windows: 1024 limb-arithmetic seedings each, covering the carry
+    # of the 128-bit add and the 32-bit half products
+    expected = [_seeded_words(seed, window * _WINDOW + k) for k in range(_WINDOW)]
+    assert _pcg64_states(seed, window).tolist() == expected
+
+
+def test_pcg64_states_are_read_only():
+    states = _pcg64_states(5, 0)
+    assert states.shape == (_WINDOW, 4) and states.dtype == np.uint64
+    assert not states.flags.writeable
+    with pytest.raises(ValueError):
+        states[0, 0] = 0
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1])
+def test_blocks_match_per_trial_draws_through_the_public_setter(model, monkeypatch, seed):
+    # a layout probe that rejects the raw words falls back to bitgen.state
+    monkeypatch.setattr(rrtls.model, "_state_words", lambda bitgen: None)
+    _assert_blocks_match_per_trial(model, seed, 1020, 1030)
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="the (lo, hi) word layout is little-endian")
+def test_layout_probe_accepts_this_build():
+    # the raw write must be the path taken here, not a silent fallback
+    bitgen = np.random.PCG64(0)
+    words = _state_words(bitgen)
+    assert words is not None
+    words[0] = _pcg64_states(7, 0)[3:4].view("V32")[0, 0]
+    assert bitgen.state == trial_rng(7, 3).bit_generator.state
