@@ -112,8 +112,12 @@ def _add128(a_lo, a_hi, b_lo, b_hi):
 def _mul128(lo, hi, mult: int):
     # (hi * 2**64 + lo) * mult mod 2**128 in uint64 limbs: the full 128-bit
     # product of the low words from 32-bit halves, plus the two cross terms.
+    # The multiplier is split in Python ints: every uint64 operation below
+    # has an array operand, as numpy < 2 promotes a uint64 scalar combined
+    # with a Python int to float64.
     m_lo, m_hi = np.uint64(mult & _MASK64), np.uint64(mult >> 64)
-    a0, a1, b0, b1 = lo & _MASK32, lo >> 32, m_lo & _MASK32, m_lo >> 32
+    b0, b1 = np.uint64(mult & _MASK32), np.uint64(mult >> 32 & _MASK32)
+    a0, a1 = lo & _MASK32, lo >> 32
     p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
     mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
     carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
@@ -155,13 +159,28 @@ def _pcg64_states(seed: int, window: int) -> np.ndarray:
 
 def _state_words(bitgen: np.random.PCG64) -> Optional[np.ndarray]:
     """Writable view of ``bitgen``'s ``state, inc`` pair as one 32-byte
-    void item, valid while ``bitgen`` lives; None unless the layout probe
-    reads back, as ``state_lo, state_hi, inc_lo, inc_hi``, the words it set
-    through the public setter (a big-endian build or 128-bit integers
-    emulated as ``{high, low}`` fail it).  ``bitgen.ctypes.state_address``
-    points to numpy's ``pcg64_state``, whose first field points to the pair.
+    void item, valid while ``bitgen`` lives; None where the raw write is not
+    known to be safe and exact, and the public setter is used instead.
+
+    This depends on numpy's private layout: ``bitgen.ctypes.state_address``
+    points to a ``pcg64_state`` whose first field points to the
+    ``pcg64_random_t`` pair, both stored inside the ``PCG64`` object.  No
+    memory is read unless both addresses lie within the object's
+    ``__basicsize__`` bytes, so a numpy that stores the pair elsewhere (or a
+    runtime whose ``id`` is not an address) falls back without reading
+    outside the object.  The probe then sets known words through the public
+    setter and requires them to read back as ``state_lo, state_hi, inc_lo,
+    inc_hi``; a big-endian build, or one without ``__int128`` (such as MSVC,
+    where numpy's pcg64.h emulates 128-bit integers as ``{high, low}``),
+    fails it.
     """
-    pair = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    base, end = id(bitgen), id(bitgen) + type(bitgen).__basicsize__
+    address = bitgen.ctypes.state_address
+    if not base <= address <= end - ctypes.sizeof(ctypes.c_void_p):
+        return None
+    pair = ctypes.c_void_p.from_address(address).value
+    if pair is None or not base <= pair <= end - 32:
+        return None
     words = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(pair))
     probe = np.array([1, 2, 3, 4], np.uint64)
     _set_state(bitgen, probe)

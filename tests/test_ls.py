@@ -341,11 +341,13 @@ _BAD_INPUTS = {
     "order-nan-y": (lambda: order_by_scores(np.eye(6)[:, :3], _y6(np.nan)), ValueError,
                     "y must be finite"),
     "order-nan-U": (lambda: order_by_scores(np.full((6, 3), np.nan), _y6()), ValueError,
-                    "U must be finite"),
+                    "columns of U are not orthonormal"),
     "ls_reduced-inf-y": (lambda: ls_reduced(order_by_scores(np.eye(6)[:, :3], _y6()), _y6(np.inf), 2),
                          ValueError, "y must be finite"),
     "bias-nan-sigma2": (lambda: bias_estimate(order_by_scores(np.eye(6)[:, :3], _y6()), _y6(), 2,
                                               sigma2=float("nan")), ValueError, "sigma2 must be finite"),
+    "bias-negative-sigma2": (lambda: bias_estimate(order_by_scores(np.eye(6)[:, :3], _y6()), _y6(), 2,
+                                                   sigma2=-0.1), ValueError, "sigma2 must be finite and >= 0"),
     "bias-inf-y": (lambda: bias_estimate(order_by_scores(np.eye(6)[:, :3], _y6()), _y6(-np.inf), 2,
                                          sigma2=0.1), ValueError, "y must be finite"),
     "tls_objective-nan-y": (lambda: tls_objective(np.ones(3), _H6, _y6(np.nan)), ValueError,

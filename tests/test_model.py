@@ -1,4 +1,5 @@
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -326,7 +327,8 @@ def test_blocks_match_per_trial_draws_through_the_public_setter(model, monkeypat
     _assert_blocks_match_per_trial(model, seed, 1020, 1030)
 
 
-@pytest.mark.skipif(sys.byteorder != "little", reason="the (lo, hi) word layout is little-endian")
+@pytest.mark.skipif(sys.byteorder != "little" or sys.platform == "win32",
+                    reason="the (lo, hi) word layout needs a little-endian build with __int128")
 def test_layout_probe_accepts_this_build():
     # the raw write must be the path taken here, not a silent fallback
     bitgen = np.random.PCG64(0)
@@ -334,3 +336,10 @@ def test_layout_probe_accepts_this_build():
     assert words is not None
     words[0] = _pcg64_states(7, 0)[3:4].view("V32")[0, 0]
     assert bitgen.state == trial_rng(7, 3).bit_generator.state
+
+
+def test_layout_probe_reads_nothing_outside_the_generator():
+    # a state address outside the object (here near null) is refused before
+    # any read, so a changed numpy layout falls back instead of crashing
+    fake = SimpleNamespace(ctypes=SimpleNamespace(state_address=8))
+    assert _state_words(fake) is None
