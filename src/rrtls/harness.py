@@ -226,8 +226,10 @@ class ExperimentSpec:
             )
         if self.tls_mode not in Q_MODES:
             raise ValueError(f"tls_mode must be one of {Q_MODES}, got {self.tls_mode!r}")
-        if self.bound is not None and not math.isfinite(self.bound):
-            raise ValueError(f"bound must be finite, got {self.bound!r}")
+        if self.bound is not None and (isinstance(self.bound, bool)
+                                       or not isinstance(self.bound, numbers.Real)
+                                       or not math.isfinite(self.bound)):
+            raise ValueError(f"bound must be finite and real, got {self.bound!r}")
         if self.observation == ADDITIVE and self.tls_mode != "oracle":
             raise ValueError(f"family {self.family!r} has no reduced-TLS objective; "
                              f"tls_mode must be 'oracle', got {self.tls_mode!r}")
@@ -638,8 +640,15 @@ def search_norm_dependence_witness(
 
     Deterministic given ``seed``; raises ``RuntimeError`` if no witness
     appears within ``MAX_WITNESS_TRIES`` draws (with the default ranges a witness
-    is found almost immediately).
+    is found almost immediately), and ``ValueError`` before the first draw
+    when none can exist: ``sigma2`` is not finite and positive (at 0 every
+    objective is the tail sum over (1 + t), whose argmin does not move), or
+    ``t_grid`` holds fewer than two distinct values.
     """
+    if isinstance(sigma2, bool) or not 0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be finite and > 0 for a witness to exist, got {sigma2!r}")
+    if len({float(t) for t in t_grid}) < 2:
+        raise ValueError(f"t_grid needs two distinct values for a witness to exist, got {t_grid!r}")
     rng = _aux_rng(seed, 4)
     for attempt in range(1, MAX_WITNESS_TRIES + 1):
         scores = sigma2 * np.sort(rng.uniform(0.0, 12.0, size=p + 1))[::-1]

@@ -14,16 +14,15 @@ singular vectors with the observation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularModelError
-from .model import RANK_RTOL, MeasurementModel, _frozen_array
+from .model import RANK_RTOL, MeasurementModel, _value_type
 from .svdtools import OrderedBasis, check_rank, finite_vector, svd
 
 
-@dataclass(frozen=True)
+@_value_type("theta_hat", "x_hat", "n_hat")
 class LsEstimate:
     """Least-squares estimate of (theta, x, n) with the rank that built it."""
 
@@ -32,13 +31,8 @@ class LsEstimate:
     n_hat: np.ndarray
     rank_used: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta_hat", _frozen_array(self.theta_hat))
-        object.__setattr__(self, "x_hat", _frozen_array(self.x_hat))
-        object.__setattr__(self, "n_hat", _frozen_array(self.n_hat))
 
-
-@dataclass(frozen=True)
+@_value_type("b_hat")
 class BiasEstimate:
     """Sample bias vector over the discarded directions and its corrected
     squared norm ``b_hat @ b_hat - sigma2 * (p - r)``."""
@@ -47,11 +41,8 @@ class BiasEstimate:
     b_hat_norm2_corrected: float
     r: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "b_hat", _frozen_array(self.b_hat))
 
-
-@dataclass(frozen=True)
+@_value_type("objective")
 class RankSelection:
     """Per-rank objective values (index i holds rank r = i + 1) and the
     argmin rank; ties resolve toward the smallest rank."""
@@ -60,9 +51,6 @@ class RankSelection:
     r_star: int
     scores_used: OrderedBasis
     sigma2: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "objective", _frozen_array(self.objective))
 
     @property
     def ranks(self) -> np.ndarray:

@@ -58,6 +58,25 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _value_type(*arrays, ints=()):
+    """Class decorator for the public result types: a frozen dataclass whose
+    fields named in ``arrays`` (float) and ``ints`` (int) hold read-only
+    copies of what the constructor was given; ``None`` stays ``None``."""
+    dtypes = {**dict.fromkeys(arrays, float), **dict.fromkeys(ints, int)}
+
+    def __post_init__(self):
+        for name, dtype in dtypes.items():
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _frozen_array(value, dtype))
+
+    def wrap(cls):
+        cls.__post_init__ = __post_init__
+        return dataclass(frozen=True)(cls)
+
+    return wrap
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent, reproducible random stream for one (seed, trial) pair.
 
@@ -297,7 +316,7 @@ class MeasurementModel:
         return float(self.theta @ self.theta)
 
 
-@dataclass(frozen=True)
+@_value_type("y", "H_tilde")
 class Realization:
     """One sampled dataset: observation ``y`` and, for errors-in-variables
     draws, the perturbed matrix ``H_tilde``."""
@@ -306,11 +325,6 @@ class Realization:
     H_tilde: Optional[np.ndarray]
     trial_index: int
     seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", _frozen_array(self.y))
-        if self.H_tilde is not None:
-            object.__setattr__(self, "H_tilde", _frozen_array(self.H_tilde))
 
 
 def sample_ls(model: MeasurementModel, seed: int, trial: int) -> Realization:

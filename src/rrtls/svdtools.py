@@ -10,16 +10,14 @@ bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import _frozen_array
+from .model import _value_type
 
 ORTHO_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@_value_type("U", "S", "V")
 class SvdFactorization:
     """Thin SVD ``M = U @ diag(S) @ V.T`` with U (N, k), S (k,), V (k, k)."""
 
@@ -27,16 +25,11 @@ class SvdFactorization:
     S: np.ndarray
     V: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "U", _frozen_array(self.U))
-        object.__setattr__(self, "S", _frozen_array(self.S))
-        object.__setattr__(self, "V", _frozen_array(self.V))
-
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.S) @ self.V.T
 
 
-@dataclass(frozen=True)
+@_value_type("columns", "scores", ints=("permutation",))
 class OrderedBasis:
     """Orthonormal columns sorted by descending score against a fixed y.
 
@@ -48,11 +41,6 @@ class OrderedBasis:
     columns: np.ndarray
     scores: np.ndarray
     permutation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", _frozen_array(self.columns))
-        object.__setattr__(self, "scores", _frozen_array(self.scores))
-        object.__setattr__(self, "permutation", _frozen_array(self.permutation, dtype=int))
 
     @property
     def k(self) -> int:

@@ -18,14 +18,13 @@ rule exists.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegenerateSolutionError, NonUniqueTlsError
 from .ls import _check_rule_inputs, ls_reduced, risk_objective, tail_sums
-from .model import MeasurementModel, _frozen_array
+from .model import MeasurementModel, _value_type
 from .svdtools import OrderedBasis, SvdFactorization, finite_vector, svd
 
 # Relative thresholds of the TLS rejection checks (``_rejection_codes``).
@@ -38,7 +37,7 @@ DEGENERACY_SCREEN = 1e3
 Q_MODES = ("oracle", "bound")
 
 
-@dataclass(frozen=True)
+@_value_type("theta_hat", "x_hat", "n_hat", "H_corrected")
 class TlsEstimate:
     """TLS estimate with the corrected system matrix and the SVD it came
     from.  ``singular_gap`` is the difference between the two smallest
@@ -52,12 +51,6 @@ class TlsEstimate:
     augmented_svd: SvdFactorization
     singular_gap: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta_hat", _frozen_array(self.theta_hat))
-        object.__setattr__(self, "x_hat", _frozen_array(self.x_hat))
-        object.__setattr__(self, "n_hat", _frozen_array(self.n_hat))
-        object.__setattr__(self, "H_corrected", _frozen_array(self.H_corrected))
-
     @property
     def retained_columns(self) -> np.ndarray:
         """The p retained left singular vectors of the augmented matrix."""
@@ -69,7 +62,7 @@ class TlsEstimate:
         return self.augmented_svd.U[:, -1]
 
 
-@dataclass(frozen=True)
+@_value_type("values", "scores")
 class QObjective:
     """Per-rank objective values for the reduced TLS hypothesis.
 
@@ -85,12 +78,8 @@ class QObjective:
     mode: str
     scores: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values))
-        object.__setattr__(self, "scores", _frozen_array(self.scores))
 
-
-@dataclass(frozen=True)
+@_value_type("theta_norm2_grid", ints=("q_stars",))
 class NormDependenceCertificate:
     """Map from parameter-norm values to selected ranks, with a constancy
     flag and, when the map is not constant, the first witnessing pair."""
@@ -99,10 +88,6 @@ class NormDependenceCertificate:
     q_stars: np.ndarray
     is_constant: bool
     witness: Optional[Tuple[float, float, int, int]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta_norm2_grid", _frozen_array(self.theta_norm2_grid))
-        object.__setattr__(self, "q_stars", _frozen_array(self.q_stars, dtype=int))
 
 
 def _rejection_codes(S, v, core) -> np.ndarray:
@@ -141,6 +126,15 @@ def _rejection_codes(S, v, core) -> np.ndarray:
                     np.where(degenerate, DegenerateSolutionError.code, ""))
 
 
+def _finite_matrix(H_tilde) -> np.ndarray:
+    """``H_tilde`` as a float matrix; ``ValueError`` naming it unless it is
+    2-D with finite entries."""
+    H_tilde = np.asarray(H_tilde, dtype=float)
+    if H_tilde.ndim != 2 or not np.isfinite(H_tilde).all():
+        raise ValueError(f"H_tilde must be a finite 2-D matrix, got shape {H_tilde.shape}")
+    return H_tilde
+
+
 def tls_solve(H_tilde, y) -> TlsEstimate:
     """Solve the TLS problem from the SVD of the augmented matrix.
 
@@ -154,6 +148,9 @@ def tls_solve(H_tilde, y) -> TlsEstimate:
 
     Raises
     ------
+    ValueError
+        If H_tilde is not a finite 2-D matrix with N >= p + 1 rows, or y
+        does not hold one finite entry per row of H_tilde.
     NonUniqueTlsError
         If the two smallest singular values are too close
         (gap <= ``GAP_RTOL`` (1e-10) times the largest), so the discarded
@@ -168,12 +165,8 @@ def tls_solve(H_tilde, y) -> TlsEstimate:
         values only when the bound does not clear the threshold by
         ``DEGENERACY_SCREEN``; the message gives the exact value.
     """
-    H_tilde = np.asarray(H_tilde, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if H_tilde.ndim != 2 or H_tilde.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: H_tilde {H_tilde.shape}, y length {y.shape[0]}"
-        )
+    H_tilde = _finite_matrix(H_tilde)
+    y = finite_vector(y, "y", H_tilde.shape[0])
     N, p = H_tilde.shape
     if N < p + 1:
         raise ValueError(f"need N >= p + 1 rows, got N={N}, p={p}")
@@ -233,9 +226,7 @@ def tls_factor_stack(A):
 def tls_objective(theta, H_tilde, y) -> float:
     """Normalized residual ``|H_tilde @ theta - y|^2 / (theta @ theta + 1)``,
     the quantity the TLS solution minimizes."""
-    H_tilde = np.asarray(H_tilde, dtype=float)
-    if H_tilde.ndim != 2 or not np.isfinite(H_tilde).all():
-        raise ValueError(f"H_tilde must be a finite 2-D matrix, got shape {H_tilde.shape}")
+    H_tilde = _finite_matrix(H_tilde)
     theta = finite_vector(theta, "theta", H_tilde.shape[1])
     y = finite_vector(y, "y", H_tilde.shape[0])
     r = H_tilde @ theta - y

@@ -390,6 +390,27 @@ def test_witness_search_is_deterministic_and_verifiable():
     assert tuple(cert.q_stars) == (a.q1, a.q2)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"sigma2": 0.0}, "sigma2 must be finite and > 0"),
+    ({"sigma2": -0.25}, "sigma2 must be finite and > 0"),
+    ({"sigma2": float("nan")}, "sigma2 must be finite and > 0"),
+    ({"sigma2": float("inf")}, "sigma2 must be finite and > 0"),
+    ({"sigma2": True}, "sigma2 must be finite and > 0"),
+    ({"t_grid": (1.0,)}, "t_grid needs two distinct values"),
+    ({"t_grid": (2.0, 2.0, 2.0)}, "t_grid needs two distinct values"),
+    ({"t_grid": ()}, "t_grid needs two distinct values"),
+], ids=["zero", "negative", "nan", "inf", "bool", "one", "repeated", "empty"])
+def test_witness_search_refuses_inputs_without_a_witness(monkeypatch, kwargs, message):
+    # with sigma2 = 0 every objective is the tail sum over (1 + t), and one
+    # grid value cannot disagree with itself: no draw could give a witness
+    def refuse(*args):
+        raise AssertionError("a score vector was drawn")
+
+    monkeypatch.setattr(harness_mod, "_aux_rng", refuse)
+    with pytest.raises(ValueError, match=message):
+        search_norm_dependence_witness(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # reference equivalence: short sweeps replayed trial by trial through the
 # public per-trial functions, independently of how the engine loops
@@ -1018,9 +1039,10 @@ def test_trials_must_be_an_integer(trials):
         ExperimentSpec(model=small_model(), family="ls", trials=trials, seed=1)
 
 
-@pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), True, "1"])
 @pytest.mark.parametrize("tls_mode", ["bound", "oracle"])
 def test_bound_must_be_finite(bound, tls_mode):
+    # a bool ran as t = 1 and a string raised TypeError
     with pytest.raises(ValueError, match="bound must be finite"):
         ExperimentSpec(model=tls_model(), family="rrtls", trials=10, seed=1,
                        tls_mode=tls_mode, bound=bound)

@@ -21,6 +21,7 @@ from rrtls import (
     select_rank_ls,
     svd,
     tls_objective,
+    tls_solve,
 )
 
 SEED = 424201
@@ -350,6 +351,9 @@ _BAD_INPUTS = {
                                                    sigma2=-0.1), ValueError, "sigma2 must be finite and >= 0"),
     "bias-inf-y": (lambda: bias_estimate(order_by_scores(np.eye(6)[:, :3], _y6()), _y6(-np.inf), 2,
                                          sigma2=0.1), ValueError, "y must be finite"),
+    "tls_solve-nan-y": (lambda: tls_solve(_H6, _y6(np.nan)), ValueError, "y must be finite"),
+    "tls_solve-inf-H_tilde": (lambda: tls_solve(np.where(_H6 > 1, np.inf, _H6), _y6()), ValueError,
+                              "H_tilde must be a finite 2-D matrix"),
     "tls_objective-nan-y": (lambda: tls_objective(np.ones(3), _H6, _y6(np.nan)), ValueError,
                             "y must be finite"),
     "tls_objective-short-theta": (lambda: tls_objective(np.ones(2), _H6, _y6()), ValueError,

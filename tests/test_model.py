@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from types import SimpleNamespace
 
@@ -10,11 +11,19 @@ import rrtls.model
 from rrtls import (
     MeasurementModel,
     ModelInvalidError,
+    bias_estimate,
     gaussian_model,
+    ls_full,
+    norm_dependence_certificate,
+    order_by_scores,
     planted_model,
+    q_objective,
     sample_ls,
     sample_tls,
+    select_rank_ls,
     spectrum_model,
+    svd,
+    tls_solve,
     trial_rng,
 )
 from rrtls.model import (
@@ -343,3 +352,81 @@ def test_layout_probe_reads_nothing_outside_the_generator():
     # any read, so a changed numpy layout falls back instead of crashing
     fake = SimpleNamespace(ctypes=SimpleNamespace(state_address=8))
     assert _state_words(fake) is None
+
+
+# ---------------------------------------------------------------------------
+# the public result types hold frozen copies of their arrays
+# ---------------------------------------------------------------------------
+
+# array fields of each public result type; the int ones are named in _INTS
+_ARRAY_FIELDS = {
+    "Realization": ("y", "H_tilde"),
+    "SvdFactorization": ("U", "S", "V"),
+    "OrderedBasis": ("columns", "scores", "permutation"),
+    "LsEstimate": ("theta_hat", "x_hat", "n_hat"),
+    "BiasEstimate": ("b_hat",),
+    "RankSelection": ("objective",),
+    "TlsEstimate": ("theta_hat", "x_hat", "n_hat", "H_corrected"),
+    "QObjective": ("values", "scores"),
+    "NormDependenceCertificate": ("theta_norm2_grid", "q_stars"),
+}
+_INTS = {"permutation", "q_stars"}
+
+
+def _public_results():
+    """Each public result type built through its public function, and the
+    writable inputs the caller still holds afterwards."""
+    rng = np.random.default_rng(41)
+    H = rng.standard_normal((8, 3))
+    model = MeasurementModel(H=H, theta=[1.0, -0.5, 2.0], sigma2=0.1)
+    y = sample_tls(model, 3, 0).y.copy()
+    Q = np.linalg.qr(rng.standard_normal((8, 3)))[0]
+    basis = order_by_scores(Q, y)
+    scores = np.array([4.0, 2.0, 1.0, 0.5])
+    grid = np.array([0.0, 1.0, 10.0])
+    results = [
+        sample_tls(model, 3, 0),
+        svd(H),
+        basis,
+        ls_full(H, y),
+        bias_estimate(basis, y, 2, 0.1),
+        select_rank_ls(basis, 0.1, 3),
+        tls_solve(H, y),
+        q_objective(scores, 0.1, 3, 1.0, "oracle"),
+        norm_dependence_certificate(grid, scores, 0.1, 3),
+    ]
+    return results, [H, y, Q, scores, grid]
+
+
+def test_public_results_hold_read_only_copies_of_their_arrays():
+    results, inputs = _public_results()
+    assert sorted(type(r).__name__ for r in results) == sorted(_ARRAY_FIELDS)
+    arrays = [(r, f) for r in results for f in _ARRAY_FIELDS[type(r).__name__]]
+    before = [getattr(r, f).copy() for r, f in arrays]
+    for r, f in arrays:
+        value = getattr(r, f)
+        where = (type(r).__name__, f)
+        assert isinstance(value, np.ndarray), where
+        assert not value.flags.writeable, where
+        assert value.dtype == (np.dtype(int) if f in _INTS else np.float64), where
+        assert not any(np.shares_memory(value, a) for a in inputs), where
+        # a writable array handed to the constructor is copied, not kept
+        mine = value.copy()
+        rebuilt = dataclasses.replace(r, **{f: mine})
+        mine[...] = 7
+        assert np.array_equal(getattr(rebuilt, f), value), where
+        assert not getattr(rebuilt, f).flags.writeable, where
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, f, value.copy())
+    for a in inputs:  # the caller changes its inputs afterwards
+        a[...] = np.nan
+    for (r, f), old in zip(arrays, before):
+        assert np.array_equal(getattr(r, f), old), (type(r).__name__, f)
+
+
+def test_additive_realization_has_no_perturbed_matrix(model):
+    real = sample_ls(model, SEED, 0)
+    assert real.H_tilde is None
+    assert dataclasses.replace(real, y=np.zeros(16)).H_tilde is None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        real.H_tilde = np.zeros((16, 4))
