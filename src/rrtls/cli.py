@@ -13,10 +13,10 @@ sweep
     mse_emp, mse_se, mse_theory, rstar_freq, pass.  The family label picks
     the observation model (additive for ls/rrls, errors-in-variables for
     tls/rrtls); trials run in order, so a seed fixes the output bytes.  A
-    config with a ``grid`` entry instead emits the JSON selection-rule
-    comparison report (norm-dependence flag included).  The output goes to
-    stdout, or to ``--out``, beside which a rank sweep adds the
-    ``.scores.json`` sidecar.
+    config with a ``grid`` entry (and no ``tls_mode``) instead emits the
+    JSON selection-rule comparison report (norm-dependence flag included).
+    The output goes to stdout, or to ``--out``, beside which a rank sweep
+    adds the ``.scores.json`` sidecar.
 verify
     Runs the built-in acceptance suite and prints one pass/fail line per
     criterion; exit status 0 only if every criterion passed.
@@ -327,6 +327,8 @@ def cmd_sweep(args) -> int:
             raise ConfigError("'grid' requires family 'rrtls'")
         if fmt != "json":
             raise ConfigError("grid comparison reports are emitted as json only")
+        if "tls_mode" in cfg:
+            raise ConfigError("'tls_mode' does not apply beside 'grid': the grid gives the norms")
         grid = cfg["grid"]
         if not isinstance(grid, list) or not grid:
             raise ConfigError("config.grid must be a non-empty list of numbers")

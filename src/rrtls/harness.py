@@ -54,6 +54,7 @@ from .model import (
 from .svdtools import check_orthonormal, order_by_scores, svd
 from .tls import (  # noqa: F401
     Q_MODES,
+    _norm_grid,
     _q_values,
     _tls_full_mse,
     augmented_scores,
@@ -536,6 +537,13 @@ def _moment_report(stats: VecStats, dof: int) -> MomentReport:
     )
 
 
+def _check_positive_sigma2(sigma2, why: str) -> None:
+    """``ValueError`` unless ``sigma2`` is a finite real > 0 (bools and
+    strings rejected); ``why`` ends the message."""
+    if isinstance(sigma2, bool) or not isinstance(sigma2, numbers.Real) or not 0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be finite and > 0 {why}, got {sigma2!r}")
+
+
 def verify_chi_square(errors, sigma2: float, dof: int) -> MomentReport:
     """Check the chi-square moments of normalized squared errors.
 
@@ -551,10 +559,7 @@ def verify_chi_square(errors, sigma2: float, dof: int) -> MomentReport:
     n = E.shape[0]
     if n < MIN_SAMPLES:
         raise InsufficientDataError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive for a normalized error")
-    if not math.isfinite(sigma2):
-        raise ValueError(f"sigma2 must be finite, got {sigma2}")
+    _check_positive_sigma2(sigma2, "for a normalized error")
     if isinstance(dof, bool) or not isinstance(dof, numbers.Integral) or dof < 1:
         raise ValueError(f"dof must be a positive integer, got {dof!r}")
     if not np.isfinite(E).all():
@@ -568,22 +573,20 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
     norms on identical realizations.
 
     Runs on the engine's stacked errors-in-variables kernel, chunk by
-    chunk, and evaluates both rank rules for the whole grid at once.
+    chunk, and evaluates both rank rules for the whole grid at once; the
+    grid replaces the spec's TLS mode, which must be the oracle one.
     Flags theta dependence when any realization selects different ranks at
-    two grid points (the witness is the first such trial, in trial order,
-    and its first grid value whose selection differs from the first
-    one's); the sigma2 = 0 case is provably grid-invariant (the
+    two grid points: the witness is the first such trial, in trial order,
+    with the :func:`tls.norm_dependence_certificate` witness of its
+    scores.  The sigma2 = 0 case is provably grid-invariant (the
     objective is then a positive multiple of a norm-free tail sum).
     """
     if spec.family != "rrtls":
         raise ValueError(f"selection-rule comparison requires family 'rrtls', got {spec.family!r}")
-    grid_arr = np.asarray(list(grid), dtype=float).reshape(-1)
-    if grid_arr.shape[0] == 0:
-        raise ValueError("grid must be non-empty")
-    if not np.all(np.isfinite(grid_arr)):
-        raise ValueError("grid values must be finite")
-    if np.any(grid_arr < 0):
-        raise ValueError("grid values are squared norms and must be >= 0")
+    if spec.tls_mode != "oracle":
+        raise ValueError(f"a grid replaces the parameter norm; tls_mode must be 'oracle', "
+                         f"got {spec.tls_mode!r}")
+    grid_arr = _norm_grid(grid, "grid")
     model = spec.model
     p = model.p
     G = grid_arr.shape[0]
@@ -604,18 +607,11 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
             counts[i] += np.bincount(q_index[i], minlength=p)
             counts_alt[i] += np.bincount(alt_index[i], minlength=p)
         if witness is None:
-            moved = q_index != q_index[0]
-            movers = np.flatnonzero(moved.any(axis=0))
+            movers = np.flatnonzero((q_index != q_index[0]).any(axis=0))
             if movers.size:
-                j = movers[0]
-                i = int(np.argmax(moved[:, j]))
-                witness = {
-                    "trial": int(trials[j]),
-                    "t1": float(grid_arr[0]),
-                    "t2": float(grid_arr[i]),
-                    "q1": int(q_index[0, j]) + 1,
-                    "q2": int(q_index[i, j]) + 1,
-                }
+                cert = norm_dependence_certificate(grid_arr, scores[movers[0]], model.sigma2, p)
+                witness = {"trial": int(trials[movers[0]]),
+                           **dict(zip(("t1", "t2", "q1", "q2"), cert.witness))}
     freq = counts / completed if completed else np.zeros_like(counts, dtype=float)
     freq_alt = counts_alt / completed if completed else np.zeros_like(counts, dtype=float)
     return SelectionComparison(
@@ -645,8 +641,7 @@ def search_norm_dependence_witness(
     objective is the tail sum over (1 + t), whose argmin does not move), or
     ``t_grid`` holds fewer than two distinct values.
     """
-    if isinstance(sigma2, bool) or not 0 < sigma2 < math.inf:
-        raise ValueError(f"sigma2 must be finite and > 0 for a witness to exist, got {sigma2!r}")
+    _check_positive_sigma2(sigma2, "for a witness to exist")
     if len({float(t) for t in t_grid}) < 2:
         raise ValueError(f"t_grid needs two distinct values for a witness to exist, got {t_grid!r}")
     rng = _aux_rng(seed, 4)

@@ -10,6 +10,8 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .model import _value_type
@@ -108,7 +110,10 @@ def order_by_scores(U, y) -> OrderedBasis:
 
 
 def check_rank(basis: OrderedBasis, r: int) -> None:
-    """Raise ``ValueError`` unless ``1 <= r <= basis.k``."""
+    """Raise ``ValueError`` unless ``r`` is an integer (numpy integers
+    included, bools not) with ``1 <= r <= basis.k``."""
+    if isinstance(r, bool) or not isinstance(r, numbers.Integral):
+        raise ValueError(f"rank r must be an integer, got {r!r}")
     if not 1 <= r <= basis.k:
         raise ValueError(f"rank r={r} out of range 1..{basis.k}")
 

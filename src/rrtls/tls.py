@@ -260,23 +260,40 @@ def augmented_scores(basis: OrderedBasis, u_s, y) -> np.ndarray:
     """Length-(p+1) score vector for the q objective: the p ordered scores
     over the retained columns, then the score of the discarded direction
     appended last (it sits in every tail sum, shifting all objective values
-    equally without affecting the argmin)."""
-    u_s = np.asarray(u_s, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    equally without affecting the argmin).  ``u_s`` and ``y`` must hold one
+    finite entry per row of the basis."""
+    u_s = finite_vector(u_s, "u_s", basis.columns.shape[0])
+    y = finite_vector(y, "y", basis.columns.shape[0])
     return np.append(basis.scores, float(u_s @ y) ** 2)
 
 
-def _rule_scores(scores, sigma2: float, p: int, theta_norm2: float) -> np.ndarray:
+def _rule_scores(scores, sigma2: float, p: int, theta_norm2: float = 0.0) -> np.ndarray:
     """The checked inputs of a TLS rank rule: ``p`` a positive integer
-    (bools rejected), ``p + 1`` augmented scores, returned flat, and the
-    checks of ``ls._check_rule_inputs``."""
+    (bools rejected), ``p + 1`` augmented scores, returned flat, whose
+    first ``p`` are nonincreasing, and the checks of
+    ``ls._check_rule_inputs``."""
     if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
         raise ValueError(f"p must be a positive integer, got {p!r}")
     scores = np.asarray(scores, dtype=float).reshape(-1)
     if scores.shape[0] != p + 1:
         raise ValueError(f"expected p + 1 = {p + 1} scores, got {scores.shape[0]}")
     _check_rule_inputs(scores, sigma2, theta_norm2)
+    if np.any(np.diff(scores[:p]) > 0):
+        raise ValueError("the first p scores must be nonincreasing")
     return scores
+
+
+def _norm_grid(values, name: str) -> np.ndarray:
+    """A grid of squared parameter norms as a flat float array;
+    ``ValueError`` naming ``name`` unless it is a non-empty sequence of
+    finite values >= 0."""
+    try:
+        grid = np.asarray(list(values), dtype=float).reshape(-1)
+    except (TypeError, ValueError):  # a scalar or a non-number
+        grid = np.empty(0)
+    if grid.shape[0] == 0 or not np.all(np.isfinite(grid) & (grid >= 0)):
+        raise ValueError(f"{name} must be a non-empty sequence of finite values >= 0, got {values!r}")
+    return grid
 
 
 def q_objective(scores, sigma2: float, p: int, theta_norm2: float, mode: str) -> QObjective:
@@ -288,8 +305,6 @@ def q_objective(scores, sigma2: float, p: int, theta_norm2: float, mode: str) ->
     smallest rank.
     """
     scores = _rule_scores(scores, sigma2, p, theta_norm2)
-    if np.any(np.diff(scores[:p]) > 0):
-        raise ValueError("the first p scores must be nonincreasing")
     if mode not in Q_MODES:
         raise ValueError(f"mode must be one of {Q_MODES}, got {mode!r}")
     values = _q_values(scores, sigma2, p, float(theta_norm2))
@@ -328,22 +343,18 @@ def _q_values(scores, sigma2: float, p: int, t):
 def norm_dependence_certificate(theta_norm2_grid: Sequence[float], scores, sigma2: float, p: int) -> NormDependenceCertificate:
     """Evaluate the selected rank across a grid of parameter norms.
 
-    Returns the map t -> q_star(t), whether it is constant over the grid,
-    and the first pair of grid values with different selections (the
+    Returns the map t -> q_star(t) of :func:`q_objective`'s oracle rule,
+    evaluated for the whole grid at once, whether it is constant over the
+    grid, and the first pair of grid values with different selections: the
+    first value and the first one whose rank differs from it (the
     machine-checkable witness that the selection depends on the unknown
     parameter norm).
     """
-    grid = np.asarray(list(theta_norm2_grid), dtype=float).reshape(-1)
-    if grid.shape[0] == 0:
-        raise ValueError("theta_norm2_grid must be non-empty")
-    q_stars = np.array(
-        [q_objective(scores, sigma2, p, t, "oracle").q_star for t in grid], dtype=int
-    )
-    witness = None
-    for i in range(1, q_stars.shape[0]):
-        if q_stars[i] != q_stars[0]:
-            witness = (float(grid[0]), float(grid[i]), int(q_stars[0]), int(q_stars[i]))
-            break
+    grid = _norm_grid(theta_norm2_grid, "theta_norm2_grid")
+    scores = _rule_scores(scores, sigma2, p)
+    q_stars = np.argmin(_q_values(scores, sigma2, p, grid[:, None]), axis=-1) + 1
+    i = int(np.argmax(q_stars != q_stars[0]))  # 0 when no rank differs
+    witness = (float(grid[0]), float(grid[i]), int(q_stars[0]), int(q_stars[i])) if i else None
     return NormDependenceCertificate(
         theta_norm2_grid=grid,
         q_stars=q_stars,

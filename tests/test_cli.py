@@ -301,6 +301,19 @@ def test_sweep_grid_requires_rrtls(tmp_path):
     assert main(["sweep", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("tls_mode", [{"mode": "bound", "bound": 2.0}, {"mode": "oracle"}],
+                         ids=["bound", "oracle"])
+def test_sweep_grid_takes_no_tls_mode(tmp_path, capsys, no_draws, tls_mode):
+    # the grid report evaluates the oracle rule at every grid value, so a
+    # bound beside a grid would be silently ignored
+    cfg = write_config(tmp_path / "sweep.json", {"trials": 20, "seed": 3, **TLS_SWEEP,
+                                                 "format": "json", "grid": [0.0, 1.0],
+                                                 "tls_mode": tls_mode})
+    assert main(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "error: config:" in err and "tls_mode" in err
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -326,13 +327,16 @@ def test_chi_square_insufficient_data():
     [
         (float("nan"), 4, 1.0, "sigma2 must be finite"),
         (float("inf"), 4, 1.0, "sigma2 must be finite"),
+        (True, 4, 1.0, "sigma2 must be finite and > 0"),
+        ("1", 4, 1.0, "sigma2 must be finite and > 0"),
         (1.0, 4, float("nan"), "entries must be finite"),
         (1.0, 4, float("inf"), "entries must be finite"),
         (1.0, 0, 1.0, "dof must be a positive integer"),
         (1.0, -1, 1.0, "dof must be a positive integer"),
         (1.0, 2.5, 1.0, "dof must be a positive integer"),
     ],
-    ids=["sigma2-nan", "sigma2-inf", "entry-nan", "entry-inf", "dof-0", "dof-negative", "dof-fraction"],
+    ids=["sigma2-nan", "sigma2-inf", "sigma2-bool", "sigma2-str", "entry-nan", "entry-inf",
+         "dof-0", "dof-negative", "dof-fraction"],
 )
 def test_chi_square_rejects_invalid_inputs(sigma2, dof, entry, message):
     errors = np.ones((harness_mod.MIN_SAMPLES, 4))
@@ -349,6 +353,28 @@ def test_comparison_requires_rrtls():
     spec = ExperimentSpec(model=tls_model(), family="tls", trials=10, seed=1)
     with pytest.raises(ValueError, match="rrtls"):
         compare_selection_rules(spec, [0.0, 1.0])
+
+
+def test_comparison_rejects_a_bound_mode_before_drawing(no_draws):
+    # the grid report evaluates the oracle rule at every grid value, so a
+    # bound would be ignored
+    spec = ExperimentSpec(model=tls_model(), family="rrtls", trials=10, seed=1,
+                          tls_mode="bound", bound=2.0)
+    with pytest.raises(ValueError, match="tls_mode"):
+        compare_selection_rules(spec, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("grid", [[], [0.0, float("nan")], [0.0, -1.0], 2.0],
+                         ids=["empty", "nan", "negative", "scalar"])
+@pytest.mark.parametrize("name", ["grid", "theta_norm2_grid"])
+def test_grid_functions_reject_a_bad_grid_by_name(no_draws, name, grid):
+    if name == "grid":
+        spec = ExperimentSpec(model=tls_model(), family="rrtls", trials=10, seed=1)
+        call = partial(compare_selection_rules, spec)
+    else:
+        call = partial(norm_dependence_certificate, scores=np.zeros(5), sigma2=0.25, p=4)
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        call(grid)
 
 
 def test_single_grid_point_never_flags():

@@ -10,17 +10,20 @@ from rrtls import (
     MeasurementModel,
     ModelInvalidError,
     SingularModelError,
+    augmented_scores,
     bias_estimate,
     ls_full,
     ls_reduced,
     mse_theoretical_ls,
     order_by_scores,
     planted_model,
+    projector,
     run,
     sample_ls,
     select_rank_ls,
     svd,
     tls_objective,
+    tls_reduced,
     tls_solve,
 )
 
@@ -336,6 +339,10 @@ def _y6(bad=None):
     return y
 
 
+def _basis6():
+    return order_by_scores(np.eye(6)[:, :3], _y6())
+
+
 _BAD_INPUTS = {
     "ls_full-nan-y": (lambda: ls_full(_H6, _y6(np.nan)), ValueError, "y must be finite"),
     "ls_full-short-y": (lambda: ls_full(_H6, _y6()[:5]), ValueError, "y has length 5, expected 6"),
@@ -360,6 +367,12 @@ _BAD_INPUTS = {
                                   "theta has length 2, expected 3"),
     "model-bool-sigma2": (lambda: MeasurementModel(_H6, np.ones(3), sigma2=True), ModelInvalidError,
                           "sigma2 must be a number, got True"),
+    "augmented_scores-nan-y": (lambda: augmented_scores(_basis6(), np.eye(6)[4], _y6(np.nan)),
+                               ValueError, "y must be finite"),
+    "augmented_scores-short-y": (lambda: augmented_scores(_basis6(), np.eye(6)[4], _y6()[:4]),
+                                 ValueError, "y has length 4, expected 6"),
+    "augmented_scores-nan-u_s": (lambda: augmented_scores(_basis6(), np.full(6, np.nan), _y6()),
+                                 ValueError, "u_s must be finite"),
 }
 
 
@@ -370,3 +383,24 @@ def test_public_ls_layer_rejects_bad_input_by_name(case):
     call, error, message = _BAD_INPUTS[case]
     with pytest.raises(error, match=message):
         call()
+
+
+_RANK_FUNCTIONS = {
+    "ls_reduced": lambda basis, r: ls_reduced(basis, _y6(), r),
+    "tls_reduced": lambda basis, r: tls_reduced(basis, _y6(), r),
+    "projector": projector,
+    "bias_estimate": lambda basis, r: bias_estimate(basis, _y6(), r, sigma2=0.1),
+    "mse_theoretical_ls": lambda basis, r: mse_theoretical_ls(
+        MeasurementModel(_H6, np.ones(3), sigma2=0.1), basis, r),
+}
+
+
+@pytest.mark.parametrize("r", [True, 1.5, 2.0, "2"], ids=["bool", "fraction", "float", "str"])
+@pytest.mark.parametrize("function", sorted(_RANK_FUNCTIONS))
+def test_rank_arguments_must_be_integers(function, r):
+    # unchecked, r=True ran as rank 1 and a float failed inside numpy's
+    # slicing; numpy integers stay valid
+    call = _RANK_FUNCTIONS[function]
+    with pytest.raises(ValueError, match="rank r must be an integer"):
+        call(_basis6(), r)
+    call(_basis6(), np.int64(2))

@@ -301,12 +301,14 @@ def test_q_objective_input_errors():
         (0.1, -1.0, [4.0, 2.0, 1.0]),
         (0.1, 1.0, [4.0, 2.0, -1.0]),
         (0.1, 1.0, [4.0, float("nan"), 1.0]),
+        (0.1, 1.0, [1.0, 2.0, 0.5]),
     ],
     ids=["sigma2-nan", "sigma2-negative", "sigma2-inf", "norm-nan", "norm-negative",
-         "score-negative", "score-nan"],
+         "score-negative", "score-nan", "scores-unordered"],
 )
 def test_q_rules_reject_invalid_inputs(sigma2, theta_norm2, scores):
-    # unchecked, these give NaN objective values or a silently chosen rank
+    # unchecked, these give NaN objective values or a silently chosen rank;
+    # both rules check their scores in one place, unordered ones included
     with pytest.raises(ValueError):
         q_objective(np.array(scores), sigma2, 2, theta_norm2, "oracle")
     with pytest.raises(ValueError):
@@ -468,6 +470,27 @@ def test_certificate_flags_dependence():
     t1, t2, q1, q2 = cert.witness
     assert (t1, t2) == (0.0, 3.0)
     assert (q1, q2) == (2, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    retained=st.lists(_normal_floats(0.0, 50.0), min_size=1, max_size=6),
+    discarded=_normal_floats(0.0, 50.0),
+    sigma2=_normal_floats(0.0, 4.0),
+    grid=st.lists(_normal_floats(0.0, 50.0), min_size=1, max_size=8),
+)
+def test_certificate_matches_the_per_value_rule(retained, discarded, sigma2, grid):
+    # the reference is one q_objective per grid value, and the witness is
+    # the first grid value whose rank differs from the first value's
+    p = len(retained)
+    scores = np.append(np.sort(retained)[::-1], discarded)
+    q_stars = [q_objective(scores, sigma2, p, t, "oracle").q_star for t in grid]
+    moved = [i for i, q in enumerate(q_stars) if q != q_stars[0]]
+    witness = (grid[0], grid[moved[0]], q_stars[0], q_stars[moved[0]]) if moved else None
+    cert = norm_dependence_certificate(grid, scores, sigma2, p)
+    assert cert.q_stars.tolist() == q_stars
+    assert cert.witness == witness
+    assert cert.is_constant == (witness is None)
 
 
 def test_augmented_scores_layout():
