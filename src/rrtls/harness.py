@@ -42,7 +42,7 @@ from .errors import InsufficientDataError
 # per-trial ``select_rank_ls``, ``tls_solve``, ``augmented_scores``,
 # ``q_objective`` and ``q_objective_bias_recipe`` are kept importable here
 # for that reason.
-from .ls import risk_objective, select_rank_ls, tail_sums  # noqa: F401
+from .ls import _count_rank, risk_objective, select_rank_ls, tail_sums  # noqa: F401
 from .model import (
     MeasurementModel,
     _aux_rng,
@@ -55,7 +55,6 @@ from .svdtools import check_orthonormal, order_by_scores, svd
 from .tls import (  # noqa: F401
     Q_MODES,
     _norm_grid,
-    _q_values,
     _tls_full_mse,
     augmented_scores,
     norm_dependence_certificate,
@@ -217,8 +216,7 @@ class ExperimentSpec:
             raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_integer(self.seed, "seed", 0)
         N, p = self.model.N, self.model.p
         if self.observation == ERRORS_IN_VARIABLES and N < p + 1:
             raise ValueError(
@@ -294,7 +292,8 @@ class ExperimentResult:
 @dataclass
 class SelectionComparison:
     """Selected-rank distributions across a grid of parameter norms,
-    evaluated on identical realizations (paired by seed)."""
+    evaluated on identical realizations (paired by seed); the bias
+    recipe's ``q_star_freq_alt`` equals ``q_star_freq`` (one count)."""
 
     grid: np.ndarray
     q_star_freq: np.ndarray
@@ -412,11 +411,11 @@ def _additive_chunk(spec: ExperimentSpec, U: np.ndarray, d: np.ndarray, resid: f
     # U'(y - x) directly, so noiseless draws have exactly zero mismatch
     diff = np.take_along_axis((Y - model.x) @ U, order, axis=1)
     sq = _rank_sq_errors(diff, d[order], resid)
-    objective = risk_objective(c * c, model.sigma2)
-    blocks = {"risk": objective}
+    scores = c * c
+    blocks = {"risk": risk_objective(scores, model.sigma2)}
     if model.sigma2 > 0:
         blocks["norm"] = sq[:, -1] / model.sigma2
-    return sq, np.argmin(objective, axis=1), blocks
+    return sq, _count_rank(scores, 2.0 * model.sigma2) - 1, blocks
 
 
 def _eiv_chunk(spec: ExperimentSpec, failures: Dict[str, int], start: int, stop: int):
@@ -439,7 +438,7 @@ def _eiv_chunk(spec: ExperimentSpec, failures: Dict[str, int], start: int, stop:
     d_aug = np.concatenate([d, coef_x[:, p:]], axis=1)
     theory = tail_sums(d_aug * d_aug)[:, :p] + np.arange(1, p + 1) * sigma2
     formula = _tls_full_mse(model, (Us @ (core @ model.theta)[..., None])[..., 0])
-    q_index = np.argmin(_q_values(scores, sigma2, p, t_val), axis=1)
+    q_index = _count_rank(scores[:, :p], 2.0 * sigma2 * (1.0 + t_val)) - 1
     return sq, q_index, {"theory": theory, "formula_full": formula}
 
 
@@ -537,6 +536,14 @@ def _moment_report(stats: VecStats, dof: int) -> MomentReport:
     )
 
 
+def _check_integer(value, name: str, minimum: int) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an integer (numpy
+    integers included, bools not) of at least ``minimum``, 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        kind = "positive" if minimum else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 def _check_positive_sigma2(sigma2, why: str) -> None:
     """``ValueError`` unless ``sigma2`` is a finite real > 0 (bools and
     strings rejected); ``why`` ends the message."""
@@ -560,8 +567,7 @@ def verify_chi_square(errors, sigma2: float, dof: int) -> MomentReport:
     if n < MIN_SAMPLES:
         raise InsufficientDataError(f"need at least {MIN_SAMPLES} samples, got {n}")
     _check_positive_sigma2(sigma2, "for a normalized error")
-    if isinstance(dof, bool) or not isinstance(dof, numbers.Integral) or dof < 1:
-        raise ValueError(f"dof must be a positive integer, got {dof!r}")
+    _check_integer(dof, "dof", 1)
     if not np.isfinite(E).all():
         raise ValueError("error entries must be finite")
     s = np.einsum("ij,ij->i", E, E) / sigma2
@@ -573,7 +579,8 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
     norms on identical realizations.
 
     Runs on the engine's stacked errors-in-variables kernel, chunk by
-    chunk, and evaluates both rank rules for the whole grid at once; the
+    chunk, and selects every grid value's rank at once as the count of the
+    first p scores above ``2 sigma2 (1 + t)``, the rank of both rules; the
     grid replaces the spec's TLS mode, which must be the oracle one.
     Flags theta dependence when any realization selects different ranks at
     two grid points: the witness is the first such trial, in trial order,
@@ -591,21 +598,17 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
     p = model.p
     G = grid_arr.shape[0]
     counts = np.zeros((G, p), dtype=np.int64)
-    counts_alt = np.zeros_like(counts)
     failures: Dict[str, int] = {}
     witness = None
     completed = 0
     rows = _chunk_rows(model.N * (p + 1))
-    t = grid_arr[:, None, None]
+    threshold = 2.0 * model.sigma2 * (1.0 + grid_arr[:, None])
     for start in range(0, spec.trials, rows):
         trials, *_, scores = _eiv_kernel(spec, start, min(start + rows, spec.trials), failures)
         completed += trials.shape[0]
         # (G, b) selected rank indices: every grid value on every trial
-        q_index = np.argmin(_q_values(scores, model.sigma2, p, t), axis=-1)
-        alt_index = np.argmin(risk_objective(scores, model.sigma2 * (1.0 + t))[..., :p], axis=-1)
-        for i in range(G):
-            counts[i] += np.bincount(q_index[i], minlength=p)
-            counts_alt[i] += np.bincount(alt_index[i], minlength=p)
+        q_index = _count_rank(scores[:, :p], threshold) - 1
+        counts += np.count_nonzero(q_index[..., None] == np.arange(p), axis=1)
         if witness is None:
             movers = np.flatnonzero((q_index != q_index[0]).any(axis=0))
             if movers.size:
@@ -613,11 +616,10 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
                 witness = {"trial": int(trials[movers[0]]),
                            **dict(zip(("t1", "t2", "q1", "q2"), cert.witness))}
     freq = counts / completed if completed else np.zeros_like(counts, dtype=float)
-    freq_alt = counts_alt / completed if completed else np.zeros_like(counts, dtype=float)
     return SelectionComparison(
         grid=grid_arr,
         q_star_freq=freq,
-        q_star_freq_alt=freq_alt,
+        q_star_freq_alt=freq.copy(),
         theta_dependent=witness is not None,
         witness=witness,
         completed=completed,
@@ -637,17 +639,22 @@ def search_norm_dependence_witness(
     Deterministic given ``seed``; raises ``RuntimeError`` if no witness
     appears within ``MAX_WITNESS_TRIES`` draws (with the default ranges a witness
     is found almost immediately), and ``ValueError`` before the first draw
-    when none can exist: ``sigma2`` is not finite and positive (at 0 every
-    objective is the tail sum over (1 + t), whose argmin does not move), or
-    ``t_grid`` holds fewer than two distinct values.
+    when none can exist or an input is invalid: ``sigma2`` is not finite and
+    positive (at 0 every threshold ``2 sigma2 (1 + t)`` is 0, so the rank
+    does not move), ``t_grid`` is not a sequence of finite values >= 0 or
+    holds fewer than two distinct values, ``p`` is not a positive integer
+    or ``seed`` not a non-negative one.
     """
     _check_positive_sigma2(sigma2, "for a witness to exist")
-    if len({float(t) for t in t_grid}) < 2:
+    grid = _norm_grid(t_grid, "t_grid") if np.size(t_grid) else ()
+    if len(set(grid)) < 2:
         raise ValueError(f"t_grid needs two distinct values for a witness to exist, got {t_grid!r}")
+    _check_integer(p, "p", 1)
+    _check_integer(seed, "seed", 0)
     rng = _aux_rng(seed, 4)
     for attempt in range(1, MAX_WITNESS_TRIES + 1):
         scores = sigma2 * np.sort(rng.uniform(0.0, 12.0, size=p + 1))[::-1]
-        cert = norm_dependence_certificate(t_grid, scores, sigma2, p)
+        cert = norm_dependence_certificate(grid, scores, sigma2, p)
         if not cert.is_constant:
             t1, t2, q1, q2 = cert.witness
             return NormDependenceWitness(

@@ -14,6 +14,7 @@ singular vectors with the observation.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -44,8 +45,8 @@ class BiasEstimate:
 
 @_value_type("objective")
 class RankSelection:
-    """Per-rank objective values (index i holds rank r = i + 1) and the
-    argmin rank; ties resolve toward the smallest rank."""
+    """Per-rank objective values (index i holds rank r = i + 1) and their
+    exact smallest minimizer ``r_star = max(1, #{scores > 2 sigma2})``."""
 
     objective: np.ndarray
     r_star: int
@@ -111,13 +112,19 @@ def tail_sums(scores: np.ndarray) -> np.ndarray:
 def _check_rule_inputs(scores, sigma2: float, theta_norm2: float = 0.0) -> None:
     """Inputs of the public rank rules: squared-product scores are
     nonnegative, and the noise variance and the squared parameter norm are
-    finite and nonnegative (a NaN would silently select a rank)."""
+    finite nonnegative reals (a NaN would silently select a rank; bools
+    and strings are rejected)."""
     if not np.all(np.asarray(scores) >= 0):
         raise ValueError("scores are squared products and must be nonnegative")
-    if not math.isfinite(sigma2) or sigma2 < 0:
-        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
-    if not math.isfinite(theta_norm2) or theta_norm2 < 0:
-        raise ValueError(f"theta_norm2 must be finite and >= 0, got {theta_norm2}")
+    for name, value in (("sigma2", sigma2), ("theta_norm2", theta_norm2)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def _count_rank(scores, threshold) -> np.ndarray:
+    """``max(1, #{scores > threshold})`` along the last axis (the threshold
+    broadcast over the leading axes): the exact argmin of every rank rule."""
+    return np.maximum(np.count_nonzero(scores > np.asarray(threshold)[..., None], axis=-1), 1)
 
 
 def risk_objective(scores, sigma2: float) -> np.ndarray:
@@ -162,13 +169,14 @@ def select_rank_ls(basis: OrderedBasis, sigma2: float, p: int) -> RankSelection:
     """Pick the rank minimizing the data-driven risk estimate.
 
     objective[r] = sum_{j>r} scores[j] + sigma2 * (2r - p) for r in 1..p;
-    the argmin resolves ties toward the smallest rank.
+    the rank is the count ``max(1, #{scores > 2 sigma2})``, its exact argmin
+    with ties going to the smallest rank.
     """
     if basis.k != p:
         raise ValueError(f"basis has {basis.k} columns, expected p={p}")
     _check_rule_inputs(basis.scores, sigma2)
     objective = risk_objective(basis.scores, sigma2)
-    r_star = int(np.argmin(objective)) + 1
+    r_star = int(_count_rank(basis.scores, 2.0 * sigma2))
     return RankSelection(
         objective=objective, r_star=r_star, scores_used=basis, sigma2=float(sigma2)
     )

@@ -9,7 +9,10 @@ and the parameter estimate solves the (consistent) corrected system.
 The rank-q machinery mirrors the least-squares case but its selection
 objective depends on the squared norm of the unknown parameter; the
 objective is evaluated either with the oracle value (harness use) or with a
-norm bound supplied by the caller.  A certificate helper maps a grid of
+norm bound supplied by the caller.  Both rules count scores above a
+threshold (``ls._count_rank``): LS keeps a direction whose score clears
+``2 sigma2``, TLS only one whose score clears ``2 sigma2 (1 + t)``, t the
+unknown squared parameter norm.  A certificate helper maps a grid of
 parameter norms to their selected ranks, exposing instances where the
 chosen rank changes with the norm, i.e. where no norm-independent rank
 rule exists.
@@ -23,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateSolutionError, NonUniqueTlsError
-from .ls import _check_rule_inputs, ls_reduced, risk_objective, tail_sums
+from .ls import _check_rule_inputs, _count_rank, ls_reduced, risk_objective, tail_sums
 from .model import MeasurementModel, _value_type
 from .svdtools import OrderedBasis, SvdFactorization, finite_vector, svd
 
@@ -66,11 +69,11 @@ class TlsEstimate:
 class QObjective:
     """Per-rank objective values for the reduced TLS hypothesis.
 
-    ``values[i]`` holds rank q = i + 1; ``scores`` is the length-(p+1)
-    vector of squared products used by the objective (the p ordered scores
-    over the retained columns followed by the always-discarded score of
-    the smallest-singular-value direction); ``mode`` records whether the
-    parameter norm was the oracle value or an upper bound.
+    ``values[i]`` holds rank q = i + 1 and ``q_star`` their exact smallest
+    minimizer, a count (:func:`q_objective`); ``scores`` holds the p + 1
+    squared products (the p ordered retained scores, then the score of the
+    always-discarded smallest-singular-value direction); ``mode`` records
+    whether the parameter norm was the oracle value or an upper bound.
     """
 
     values: np.ndarray
@@ -301,14 +304,16 @@ def q_objective(scores, sigma2: float, p: int, theta_norm2: float, mode: str) ->
 
     values[q] = (sum_{j>q} scores[j] + sigma2*(1+t)*(2q + p)) / (1 + t)
     for q in 1..p, with t the squared parameter norm (oracle value) or its
-    upper bound, per ``mode``.  The argmin resolves ties toward the
-    smallest rank.
+    upper bound, per ``mode``.  The rank is the count
+    ``max(1, #{j <= p : scores[j] > 2 sigma2 (1 + t)})``, the exact argmin
+    with ties going to the smallest rank (the discarded score drops out).
     """
     scores = _rule_scores(scores, sigma2, p, theta_norm2)
     if mode not in Q_MODES:
         raise ValueError(f"mode must be one of {Q_MODES}, got {mode!r}")
-    values = _q_values(scores, sigma2, p, float(theta_norm2))
-    q_star = int(np.argmin(values)) + 1
+    t = float(theta_norm2)
+    values = (tail_sums(scores)[:p] + sigma2 * (1.0 + t) * (2 * np.arange(1, p + 1) + p)) / (1.0 + t)
+    q_star = int(_count_rank(scores[:p], 2.0 * sigma2 * (1.0 + t)))
     return QObjective(values=values, q_star=q_star, mode=mode, scores=scores)
 
 
@@ -322,22 +327,13 @@ def q_objective_bias_recipe(scores, sigma2: float, p: int, theta_norm2: float) -
     the first p values of ``ls.risk_objective(scores, sigma2 * (1 + t))``.
     The primary rule (:func:`q_objective`) uses a different correction
     term, but with ``s = sigma2 (1 + t)`` both objectives are increasing
-    affine maps of ``sum_{j>q} scores[j] + 2 s q``, so they select the
-    same rank up to floating-point ties; the grid report of
-    ``harness.compare_selection_rules`` still shows both selections.
+    affine maps of ``sum_{j>q} scores[j] + 2 s q``, so their exact argmin,
+    ties going to the smallest rank, is the same count
+    ``max(1, #{j <= p : scores[j] > 2 s})``; the grid report of
+    ``harness.compare_selection_rules`` fills both its tables from it.
     """
     scores = _rule_scores(scores, sigma2, p, theta_norm2)
     return risk_objective(scores, sigma2 * (1.0 + float(theta_norm2)))[:p]
-
-
-def _q_values(scores, sigma2: float, p: int, t):
-    """The primary rank objective along the last axis of augmented scores
-    (..., p + 1); the parameter norm t broadcasts against the leading axes,
-    so a (G, 1, 1) grid of norms over (b, p + 1) scores gives (G, b, p).
-    The bias recipe is ``risk_objective(scores, sigma2 * (1 + t))[..., :p]``,
-    which broadcasts the same way and has the same argmin."""
-    q = np.arange(1, p + 1)
-    return (tail_sums(scores)[..., :p] + sigma2 * (1.0 + t) * (2 * q + p)) / (1.0 + t)
 
 
 def norm_dependence_certificate(theta_norm2_grid: Sequence[float], scores, sigma2: float, p: int) -> NormDependenceCertificate:
@@ -352,7 +348,7 @@ def norm_dependence_certificate(theta_norm2_grid: Sequence[float], scores, sigma
     """
     grid = _norm_grid(theta_norm2_grid, "theta_norm2_grid")
     scores = _rule_scores(scores, sigma2, p)
-    q_stars = np.argmin(_q_values(scores, sigma2, p, grid[:, None]), axis=-1) + 1
+    q_stars = _count_rank(scores[:p], 2.0 * sigma2 * (1.0 + grid))
     i = int(np.argmax(q_stars != q_stars[0]))  # 0 when no rank differs
     witness = (float(grid[0]), float(grid[i]), int(q_stars[0]), int(q_stars[i])) if i else None
     return NormDependenceCertificate(

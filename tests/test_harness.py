@@ -425,16 +425,46 @@ def test_witness_search_is_deterministic_and_verifiable():
     ({"t_grid": (1.0,)}, "t_grid needs two distinct values"),
     ({"t_grid": (2.0, 2.0, 2.0)}, "t_grid needs two distinct values"),
     ({"t_grid": ()}, "t_grid needs two distinct values"),
-], ids=["zero", "negative", "nan", "inf", "bool", "one", "repeated", "empty"])
+    ({"t_grid": (0.0, -1.0)}, "t_grid must be a non-empty sequence"),
+    ({"t_grid": (0.0, float("nan"))}, "t_grid must be a non-empty sequence"),
+    ({"t_grid": 2.0}, "t_grid must be a non-empty sequence"),
+    ({"p": 2.5}, "p must be a positive integer"),
+    ({"p": 0}, "p must be a positive integer"),
+    ({"seed": True}, "seed must be a non-negative integer"),
+    ({"seed": -1}, "seed must be a non-negative integer"),
+], ids=["zero", "negative", "nan", "inf", "bool", "one", "repeated", "empty",
+        "t-negative", "t-nan", "t-scalar", "p-float", "p-zero", "seed-bool", "seed-negative"])
 def test_witness_search_refuses_inputs_without_a_witness(monkeypatch, kwargs, message):
     # with sigma2 = 0 every objective is the tail sum over (1 + t), and one
-    # grid value cannot disagree with itself: no draw could give a witness
+    # grid value cannot disagree with itself: no draw could give a witness;
+    # an invalid grid, p or seed is named before the first draw too
     def refuse(*args):
         raise AssertionError("a score vector was drawn")
 
     monkeypatch.setattr(harness_mod, "_aux_rng", refuse)
     with pytest.raises(ValueError, match=message):
         search_norm_dependence_witness(**kwargs)
+
+
+@pytest.mark.parametrize("k", [-20, -3, 1, 4, 30])
+@pytest.mark.parametrize("family", ["rrls", "rrtls"])
+def test_run_is_scale_equivariant(family, k):
+    # scaling theta (additive) or H (errors-in-variables) by 2**k and sigma2
+    # by 4**k scales every draw by 2**k exactly: the selected ranks stay and
+    # the squared errors scale by 4**k
+    base = gaussian_model(N=16, p=4, theta=[1.0, -0.5, 0.25, 2.0], sigma2=0.25, seed=3)
+    c = 2.0**k
+    if family == "rrls":
+        scaled = MeasurementModel(H=base.H, theta=c * base.theta, sigma2=c * c * base.sigma2)
+    else:
+        scaled = MeasurementModel(H=c * base.H, theta=base.theta, sigma2=c * c * base.sigma2)
+    for seed in range(3):
+        res = run(ExperimentSpec(model=base, family=family, trials=2000, seed=seed))
+        res_scaled = run(ExperimentSpec(model=scaled, family=family, trials=2000, seed=seed))
+        assert np.array_equal(res_scaled.sel_freq, res.sel_freq)
+        assert res_scaled.failures == res.failures
+        np.testing.assert_allclose(res_scaled.mse_emp, c * c * res.mse_emp, rtol=1e-12)
+        np.testing.assert_allclose(res_scaled.mse_se, c * c * res.mse_se, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

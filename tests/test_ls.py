@@ -2,22 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rrtls import (
     ExperimentSpec,
     MeasurementModel,
     ModelInvalidError,
+    OrderedBasis,
     SingularModelError,
     augmented_scores,
     bias_estimate,
     ls_full,
     ls_reduced,
     mse_theoretical_ls,
+    norm_dependence_certificate,
     order_by_scores,
     planted_model,
     projector,
+    q_objective,
+    q_objective_bias_recipe,
     run,
     sample_ls,
     select_rank_ls,
@@ -404,3 +408,79 @@ def test_rank_arguments_must_be_integers(function, r):
     with pytest.raises(ValueError, match="rank r must be an integer"):
         call(_basis6(), r)
     call(_basis6(), np.int64(2))
+
+
+def _plain_argmin(values):
+    # min returns the first smallest index, so ties go to the smaller rank
+    return min(range(len(values)), key=values.__getitem__) + 1
+
+
+def _risk_values(scores, sigma2):
+    p = len(scores)
+    return [sum(scores[r:]) + sigma2 * (2 * r - p) for r in range(1, p + 1)]
+
+
+def _basis_with_scores(scores):
+    p = len(scores)
+    return OrderedBasis(columns=np.eye(2 * p)[:, :p], scores=scores, permutation=np.arange(p))
+
+
+@st.composite
+def _dyadic_ls_inputs(draw):
+    # scores and sigma2 are k / 64, so every objective value is exact; some
+    # scores sit exactly on the threshold 2 sigma2
+    sigma2 = draw(st.integers(0, 256)) / 64
+    score = st.one_of(st.integers(0, 4096).map(lambda k: k / 64), st.just(2 * sigma2))
+    scores = sorted(draw(st.lists(score, min_size=1, max_size=8)), reverse=True)
+    return scores, sigma2
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_dyadic_ls_inputs())
+def test_select_rank_is_the_exact_argmin_on_dyadic_inputs(inputs):
+    scores, sigma2 = inputs
+    sel = select_rank_ls(_basis_with_scores(scores), sigma2, len(scores))
+    assert sel.r_star == _plain_argmin(_risk_values(scores, sigma2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scores=st.lists(st.floats(0.0, 1e6, allow_subnormal=False), min_size=1, max_size=8),
+    sigma2=st.floats(0.0, 1e3, allow_subnormal=False),
+)
+def test_select_rank_is_the_argmin_away_from_ties(scores, sigma2):
+    # objective + sigma2 p = tail_r + 2 sigma2 r sums nonnegative terms, so
+    # a relative gap of 1e-9 between its two smallest values is far above
+    # the rounding of either
+    scores = sorted(scores, reverse=True)
+    p = len(scores)
+    values = _risk_values(scores, sigma2)
+    if p > 1:
+        lo, hi = sorted(values)[:2]
+        assume(hi - lo > 1e-9 * (hi + sigma2 * p))
+    assert select_rank_ls(_basis_with_scores(scores), sigma2, p).r_star == _plain_argmin(values)
+
+
+_SCORES3 = [4.0, 2.0, 1.0]
+_RULE_CALLS = {
+    "select_rank_ls": lambda sigma2, theta_norm2: select_rank_ls(_basis6(), sigma2, 3),
+    "q_objective": lambda sigma2, theta_norm2: q_objective(_SCORES3, sigma2, 2, theta_norm2, "oracle"),
+    "q_objective_bias_recipe": lambda sigma2, theta_norm2: q_objective_bias_recipe(
+        _SCORES3, sigma2, 2, theta_norm2),
+    "norm_dependence_certificate": lambda sigma2, theta_norm2: norm_dependence_certificate(
+        [0.0, 1.0], _SCORES3, sigma2, 2),
+    "bias_estimate": lambda sigma2, theta_norm2: bias_estimate(_basis6(), _y6(), 2, sigma2),
+}
+_RULE_ARGUMENTS = [(name, "sigma2") for name in sorted(_RULE_CALLS)] + [
+    ("q_objective", "theta_norm2"), ("q_objective_bias_recipe", "theta_norm2")]
+
+
+@pytest.mark.parametrize("value", [True, "1", np.array([0.5, 1.0])], ids=["bool", "str", "array"])
+@pytest.mark.parametrize("function, argument", _RULE_ARGUMENTS,
+                         ids=[f"{f}-{a}" for f, a in _RULE_ARGUMENTS])
+def test_rank_rules_reject_a_noise_variance_or_norm_that_is_not_a_real(function, argument, value):
+    # unchecked, True ran as 1.0, "1" raised TypeError from math.isfinite and
+    # an array a numpy TypeError
+    kwargs = {"sigma2": 0.25, "theta_norm2": 1.0, argument: value}
+    with pytest.raises(ValueError, match=rf"^{argument} must be finite and >= 0"):
+        _RULE_CALLS[function](**kwargs)

@@ -503,3 +503,72 @@ def test_augmented_scores_layout():
     assert scores.shape == (3,)
     assert np.array_equal(scores[:2], basis.scores)
     assert scores[2] == pytest.approx(float(u_s @ y) ** 2, rel=1e-14)
+
+
+def _plain_argmin(values):
+    # min returns the first smallest index, so ties go to the smaller rank
+    return min(range(len(values)), key=values.__getitem__) + 1
+
+
+def _plain_q_values(scores, sigma2, p, t):
+    return [(sum(scores[q:]) + sigma2 * (1 + t) * (2 * q + p)) / (1 + t) for q in range(1, p + 1)]
+
+
+@st.composite
+def _dyadic_q_inputs(draw):
+    # scores, sigma2 and t are k / 64, so every numerator is exact and the
+    # division by 1 + t keeps their order and their ties; some retained
+    # scores sit exactly on the threshold 2 sigma2 (1 + t)
+    sigma2 = draw(st.integers(0, 256)) / 64
+    t = draw(st.integers(0, 512)) / 64
+    score = st.one_of(st.integers(0, 4096).map(lambda k: k / 64), st.just(2 * sigma2 * (1 + t)))
+    retained = sorted(draw(st.lists(score, min_size=1, max_size=8)), reverse=True)
+    return retained + [draw(score)], sigma2, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_dyadic_q_inputs())
+def test_q_objective_is_the_exact_argmin_on_dyadic_inputs(inputs):
+    scores, sigma2, t = inputs
+    p = len(scores) - 1
+    assert q_objective(scores, sigma2, p, t, "oracle").q_star == _plain_argmin(
+        _plain_q_values(scores, sigma2, p, t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    retained=st.lists(_normal_floats(0.0, 1e6), min_size=1, max_size=8),
+    discarded=_normal_floats(0.0, 1e6),
+    sigma2=_normal_floats(0.0, 1e3),
+    t=_normal_floats(0.0, 1e3),
+)
+def test_q_objective_is_the_argmin_away_from_ties(retained, discarded, sigma2, t):
+    p = len(retained)
+    scores = sorted(retained, reverse=True) + [discarded]
+    values = _plain_q_values(scores, sigma2, p, t)
+    if p > 1:
+        lo, hi = sorted(values)[:2]
+        assume(hi - lo > 1e-9 * hi)
+    assert q_objective(scores, sigma2, p, t, "oracle").q_star == _plain_argmin(values)
+
+
+def test_q_objective_selects_the_exact_minimum_when_a_score_is_absorbed():
+    # the second retained score vanishes in the rounding of the rank-1 tail
+    # sum, so both float values read 1.0; in exact arithmetic rank 2 is
+    # smaller by that score, and 2 retained scores exceed 2 sigma2 (1 + t) = 0
+    qobj = q_objective([1.0, 6.696934434898844e-100, 1.0], 0.0, 2, 0.0, "oracle")
+    assert qobj.values.tolist() == [1.0, 1.0]
+    assert qobj.q_star == 2
+
+
+@pytest.mark.parametrize("k", [-20, -3, 1, 4, 30])
+def test_tls_solve_is_scale_equivariant(k):
+    # scaling H_tilde and y by 2**k scales the augmented matrix exactly, so
+    # theta_hat stays and x_hat scales by 2**k
+    model = make_model(k + 40)
+    real = sample_tls(model, SEED, 0)
+    c = 2.0**k
+    est = tls_solve(real.H_tilde, real.y)
+    scaled = tls_solve(c * real.H_tilde, c * real.y)
+    np.testing.assert_allclose(scaled.theta_hat, est.theta_hat, rtol=1e-12)
+    np.testing.assert_allclose(scaled.x_hat, c * est.x_hat, rtol=1e-12)
