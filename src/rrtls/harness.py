@@ -13,10 +13,14 @@ per error code and dropped.  The blocks come from ``model``'s block
 sampler; a stream guard draws trial 0 once through the per-trial
 ``sample_ls``/``sample_tls`` before a run's first block and raises
 ``RuntimeError`` unless the block's first row equals it bit for bit.
-Each chunk's central moments are merged into the run totals in chunk
-order.  The aggregates (per-rank squared errors, the data-driven
-risk estimate, the moments of the normalized full-rank error) are the
-statistics the verification suite reads, so it needs no per-trial rows.
+Errors-in-variables chunks are evaluated on one lane per usable CPU (the
+calling thread and worker threads, ``_chunk_map``); additive chunks, which
+lost trials/s on lanes, run on the calling thread alone.  Either way each
+chunk's central moments are merged into the run totals on the calling
+thread in chunk order, so the bytes do not depend on the lane count.  The
+aggregates (per-rank squared errors, the data-driven risk estimate, the
+moments of the normalized full-rank error) are the statistics the
+verification suite reads, so it needs no per-trial rows.
 ``verify_chi_square`` turns the normalized-squared-error moment claims of
 any sequence of error vectors into the same pass/fail report that ``run``
 attaches, ``compare_selection_rules`` evaluates the rank selection
@@ -29,6 +33,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Optional, Sequence
@@ -364,32 +370,33 @@ def _sample_block(spec: ExperimentSpec, start: int, stop: int) -> np.ndarray:
     return block
 
 
-def _eiv_kernel(spec: ExperimentSpec, start: int, stop: int, failures: Dict[str, int]):
+def _eiv_kernel(spec: ExperimentSpec, start: int, stop: int):
     """Trials ``[start, stop)`` of the errors-in-variables model up to the
     selection scores, as stacked arrays: draw, factor and check, order.
 
     Rejected trials are counted under their error code and dropped.  For
     the solved trials, in trial order, returns ``(trials, U, core, coef,
-    order, scores)``: their indices; the left singular vectors of
+    order, scores, failures)``: their indices; the left singular vectors of
     ``[H_tilde, y]`` (b, N, p + 1), retained columns first and the
     discarded one last; the cores ``U_s' H_tilde``; the coefficients
     ``U'y``; the stable descending order of the retained scores (b, p);
-    and the augmented scores (b, p + 1), the ordered retained scores
-    followed by the discarded direction's.
+    the augmented scores (b, p + 1), the ordered retained scores followed
+    by the discarded direction's; and the chunk's rejections per error code.
     """
     p = spec.model.p
     A = _sample_block(spec, start, stop)
     U, core, codes = tls_factor_stack(A)
     solved = codes == ""
-    for code, n in zip(*np.unique(codes[~solved], return_counts=True)):
-        failures[str(code)] = failures.get(str(code), 0) + int(n)
-    U, core = U[solved], core[solved]
+    failures = {str(code): int(n)
+                for code, n in zip(*np.unique(codes[~solved], return_counts=True))}
+    if failures:  # the whole-stack copies only when a row is dropped
+        U, core = U[solved], core[solved]
     check_orthonormal(U[..., :p])
     coef = (A[solved, None, :, p] @ U)[:, 0]
     scores = coef * coef
     order = np.argsort(-scores[:, :p], axis=1, kind="stable")
     scores[:, :p] = np.take_along_axis(scores[:, :p], order, axis=1)
-    return start + np.flatnonzero(solved), U, core, coef, order, scores
+    return start + np.flatnonzero(solved), U, core, coef, order, scores, failures
 
 
 def _additive_chunk(spec: ExperimentSpec, U: np.ndarray, d: np.ndarray, resid: float,
@@ -400,8 +407,9 @@ def _additive_chunk(spec: ExperimentSpec, U: np.ndarray, d: np.ndarray, resid: f
     |x - U U'x|^2``.  ``C = Y U`` holds every trial's coefficients; each
     row is ordered by descending score (stable, so ties keep the column
     order).  Returns the rows ``(sq, index, blocks)``: squared errors per
-    rank (b, p), selected ranks as 0-based indices, and the arms ``risk``
-    (risk estimate per rank) and, for ``sigma2 > 0``, ``norm``.
+    rank (b, p), selected ranks as 0-based indices, the arms ``risk``
+    (risk estimate per rank) and, for ``sigma2 > 0``, ``norm``, and the
+    chunk's rejections per error code (none for this model).
     """
     model = spec.model
     Y = _sample_block(spec, start, stop)
@@ -415,20 +423,20 @@ def _additive_chunk(spec: ExperimentSpec, U: np.ndarray, d: np.ndarray, resid: f
     blocks = {"risk": risk_objective(scores, model.sigma2)}
     if model.sigma2 > 0:
         blocks["norm"] = sq[:, -1] / model.sigma2
-    return sq, _count_rank(scores, 2.0 * model.sigma2) - 1, blocks
+    return sq, _count_rank(scores, 2.0 * model.sigma2) - 1, blocks, {}
 
 
-def _eiv_chunk(spec: ExperimentSpec, failures: Dict[str, int], start: int, stop: int):
+def _eiv_chunk(spec: ExperimentSpec, start: int, stop: int):
     """Trials ``[start, stop)`` of the errors-in-variables model as stacked
-    arrays (``_eiv_kernel``), rejected trials counted into ``failures``.
-    Returns the solved trials' rows as ``_additive_chunk`` does, with the
-    arms ``theory`` and ``formula_full`` (all empty if none is solved),
+    arrays (``_eiv_kernel``).  Returns the solved trials' rows and the
+    rejections as ``_additive_chunk`` does, with the arms ``theory`` and
+    ``formula_full`` (all empty if none is solved),
     from the coefficients of y and x on each trial's ordered retained
     columns; the corrected signal is ``U_s (core theta)``."""
     model = spec.model
     p, x, sigma2 = model.p, model.x, model.sigma2
     t_val = model.theta_norm2 if spec.tls_mode == "oracle" else float(spec.bound)
-    _, U, core, coef, order, scores = _eiv_kernel(spec, start, stop, failures)
+    _, U, core, coef, order, scores, failures = _eiv_kernel(spec, start, stop)
     Us = U[..., :p]
     coef_x = x @ U
     d = np.take_along_axis(coef_x[:, :p], order, axis=1)
@@ -439,7 +447,48 @@ def _eiv_chunk(spec: ExperimentSpec, failures: Dict[str, int], start: int, stop:
     theory = tail_sums(d_aug * d_aug)[:, :p] + np.arange(1, p + 1) * sigma2
     formula = _tls_full_mse(model, (Us @ (core @ model.theta)[..., None])[..., 0])
     q_index = _count_rank(scores[:, :p], 2.0 * sigma2 * (1.0 + t_val)) - 1
-    return sq, q_index, {"theory": theory, "formula_full": formula}
+    return sq, q_index, {"theory": theory, "formula_full": formula}, failures
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    reports one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _chunk_map(chunk, trials: int, rows: int, merge, lanes: int) -> None:
+    """``merge(chunk(start, stop))`` for the consecutive chunks of ``rows``
+    trials that tile ``[0, trials)``, merged in chunk order on the calling
+    thread.
+
+    Chunk 0 (it holds the stream guard) runs on the calling thread before
+    any worker starts.  With ``lanes`` > 1, the other chunks go in groups of
+    ``lanes``: the calling thread evaluates a group's first chunk while up
+    to ``lanes - 1`` worker threads evaluate one each, then merges the group
+    in chunk order.  So the merged bytes do not depend on ``lanes``, and a
+    chunk's exception comes out intact, the first failing chunk in chunk
+    order winning as in a sequential loop.  Every worker is joined before
+    this returns or raises.
+    """
+    bounds = [(start, min(start + rows, trials)) for start in range(0, trials, rows)]
+    merge(chunk(*bounds[0]))
+    lanes = min(lanes, len(bounds) - 1)
+    if lanes < 2:
+        for bound in bounds[1:]:
+            merge(chunk(*bound))
+        return
+    # Imported after the first trial, so a run's set-up time does not pay it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(lanes - 1) as pool:
+        for first in range(1, len(bounds), lanes):
+            futures = [pool.submit(chunk, *bound) for bound in bounds[first + 1:first + lanes]]
+            merge(chunk(*bounds[first]))
+            for future in futures:
+                merge(future.result())
 
 
 # ---------------------------------------------------------------------------
@@ -449,28 +498,34 @@ def _eiv_chunk(spec: ExperimentSpec, failures: Dict[str, int], start: int, stop:
 def run(spec: ExperimentSpec) -> ExperimentResult:
     """Execute the Monte Carlo experiment.
 
-    Trials run in order, in chunks of consecutive trial indices
-    ``[start, stop)`` whose size the engine fixes from the per-trial draw
-    size alone (``N`` floats for the additive model, ``N (p + 1)`` for
-    errors-in-variables).  A chunk kernel returns its completed trials'
-    rows for each arm of its observation model, and each arm's moments are
-    merged into the totals in chunk order, so a seed fixes every aggregate
-    bit for bit.  No per-trial rows are kept.  An Optional result field is
-    set exactly when its arm has a completed trial (the moment report of
-    ``norm`` needs two); the risk estimate minus ``sigma2 * r`` is
-    ``ls.bias_estimate``'s corrected statistic.
+    Trials run in chunks of consecutive trial indices ``[start, stop)``
+    whose size the engine fixes from the per-trial draw size alone (``N``
+    floats for the additive model, ``N (p + 1)`` for errors-in-variables).
+    A chunk kernel returns its completed trials' rows for each arm of its
+    observation model, and each arm's moments are merged into the totals in
+    chunk order on the calling thread, so a seed fixes every aggregate bit
+    for bit.  Errors-in-variables chunks are evaluated on one lane per
+    usable CPU (``os.sched_getaffinity``, capped by the chunks after the
+    first; the calling thread is one lane, ``_chunk_map``), as their
+    stacked SVDs and draws run outside the GIL; the bytes do not depend on
+    the lane count.  Additive chunks run on the calling thread alone: on
+    lanes they lost 13% trials/s and cost 17% more CPU at N=16, p=4.  No
+    per-trial rows are kept.  An Optional result field is set exactly when
+    its arm has a completed trial (the moment report of ``norm`` needs
+    two); the risk estimate minus ``sigma2 * r`` is ``ls.bias_estimate``'s
+    corrected statistic.
 
     Per-trial estimator failures (e.g. TLS nonuniqueness) are counted per
     error code and excluded from the aggregates, never imputed.
     """
     model = spec.model
     p = model.p
-    failures: Dict[str, int] = {}
     if spec.observation == ERRORS_IN_VARIABLES:
         # replaced by the theory arm's mean once a trial completes
         mse_theory = np.full(p, np.nan)
-        chunk = partial(_eiv_chunk, spec, failures)
+        chunk = partial(_eiv_chunk, spec)
         rows = _chunk_rows(model.N * (p + 1))
+        lanes = _usable_cpus()
     else:
         U = svd(model.H).U
         # Also checks that U is orthonormal, once for the whole run.
@@ -480,14 +535,11 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         rho = model.x - U @ d
         chunk = partial(_additive_chunk, spec, U, d, float(rho @ rho))
         rows = _chunk_rows(model.N)
+        lanes = 1
     totals: Dict[str, VecStats] = {}
     sel_counts = np.zeros(p, dtype=np.int64)
-    for start in range(0, spec.trials, rows):
-        sq, index, blocks = chunk(start, min(start + rows, spec.trials))
-        blocks.update(sq=sq, auto=sq[np.arange(sq.shape[0]), index])
-        for name, block in blocks.items():
-            totals.setdefault(name, VecStats(block.shape[1:])).merge(VecStats.from_block(block))
-        sel_counts += np.bincount(index, minlength=p)
+    failures: Counter = Counter()
+    _chunk_map(chunk, spec.trials, rows, partial(_merge_chunk, totals, sel_counts, failures), lanes)
 
     means = {name: stats.mean for name, stats in totals.items() if stats.n}
     completed = totals["sq"].n
@@ -517,6 +569,19 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         moments=_moment_report(norm, p) if norm is not None and norm.n >= 2 else None,
         row_pass=row_pass,
     )
+
+
+def _merge_chunk(totals: Dict[str, VecStats], sel_counts: np.ndarray, failures: Counter,
+                 result) -> None:
+    """Merge one chunk's ``(sq, index, blocks, failures)`` into a run's
+    totals: each arm's moments, the selected-rank counts and the rejections
+    per error code.  ``run`` calls it on its own thread, in chunk order."""
+    sq, index, blocks, rejected = result
+    blocks.update(sq=sq, auto=sq[np.arange(sq.shape[0]), index])
+    for name, block in blocks.items():
+        totals.setdefault(name, VecStats(block.shape[1:])).merge(VecStats.from_block(block))
+    sel_counts += np.bincount(index, minlength=sel_counts.shape[0])
+    failures.update(rejected)
 
 
 def _moment_report(stats: VecStats, dof: int) -> MomentReport:
@@ -579,9 +644,10 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
     norms on identical realizations.
 
     Runs on the engine's stacked errors-in-variables kernel, chunk by
-    chunk, and selects every grid value's rank at once as the count of the
-    first p scores above ``2 sigma2 (1 + t)``, the rank of both rules; the
-    grid replaces the spec's TLS mode, which must be the oracle one.
+    chunk on ``run``'s lanes, and selects every grid value's rank at once
+    as the count of the first p scores above ``2 sigma2 (1 + t)``, the rank
+    of both rules; the grid replaces the spec's TLS mode, which must be the
+    oracle one.
     Flags theta dependence when any realization selects different ranks at
     two grid points: the witness is the first such trial, in trial order,
     with the :func:`tls.norm_dependence_certificate` witness of its
@@ -598,23 +664,30 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
     p = model.p
     G = grid_arr.shape[0]
     counts = np.zeros((G, p), dtype=np.int64)
-    failures: Dict[str, int] = {}
+    failures: Counter = Counter()
     witness = None
-    completed = 0
-    rows = _chunk_rows(model.N * (p + 1))
     threshold = 2.0 * model.sigma2 * (1.0 + grid_arr[:, None])
-    for start in range(0, spec.trials, rows):
-        trials, *_, scores = _eiv_kernel(spec, start, min(start + rows, spec.trials), failures)
-        completed += trials.shape[0]
+
+    def chunk(start, stop):
+        trials, *_, scores, rejected = _eiv_kernel(spec, start, stop)
         # (G, b) selected rank indices: every grid value on every trial
         q_index = _count_rank(scores[:, :p], threshold) - 1
+        return trials, scores, q_index, rejected
+
+    def merge(result):
+        nonlocal counts, witness
+        trials, scores, q_index, rejected = result
         counts += np.count_nonzero(q_index[..., None] == np.arange(p), axis=1)
+        failures.update(rejected)
         if witness is None:
             movers = np.flatnonzero((q_index != q_index[0]).any(axis=0))
             if movers.size:
                 cert = norm_dependence_certificate(grid_arr, scores[movers[0]], model.sigma2, p)
                 witness = {"trial": int(trials[movers[0]]),
                            **dict(zip(("t1", "t2", "q1", "q2"), cert.witness))}
+
+    _chunk_map(chunk, spec.trials, _chunk_rows(model.N * (p + 1)), merge, _usable_cpus())
+    completed = spec.trials - sum(failures.values())
     freq = counts / completed if completed else np.zeros_like(counts, dtype=float)
     return SelectionComparison(
         grid=grid_arr,

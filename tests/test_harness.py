@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 from functools import partial
 
 import numpy as np
@@ -113,14 +115,13 @@ def _spy_sq_rows(monkeypatch):
     """Record the per-rank squared errors (b, p) of every chunk the engine
     merges into its totals, in merge order (trial order)."""
     rows = []
-    rank_sq_errors = harness_mod._rank_sq_errors
+    merge_chunk = harness_mod._merge_chunk
 
     def spy(*args):
-        sq = rank_sq_errors(*args)
-        rows.append(sq)
-        return sq
+        rows.append(args[-1][0])  # the chunk result's sq
+        return merge_chunk(*args)
 
-    monkeypatch.setattr(harness_mod, "_rank_sq_errors", spy)
+    monkeypatch.setattr(harness_mod, "_merge_chunk", spy)
     return rows
 
 
@@ -1004,9 +1005,13 @@ def _count_draws(monkeypatch, name):
 
 
 def _assert_blocks_tile(blocks, seed, trials):
+    # Chunk 0 is drawn first, on the calling thread; errors-in-variables
+    # lanes may draw the other chunks in any order, but each trial once.
+    assert blocks[0][1] == 0
     assert [b[0] for b in blocks] == [seed] * len(blocks)
     assert all(start < stop for _, start, stop in blocks)
-    assert [t for _, start, stop in blocks for t in range(start, stop)] == list(range(trials))
+    tiled = sorted(blocks, key=lambda b: b[1])
+    assert [t for _, start, stop in tiled for t in range(start, stop)] == list(range(trials))
 
 
 def test_additive_run_draws_each_trial_once_in_order(monkeypatch):
@@ -1019,6 +1024,7 @@ def test_additive_run_draws_each_trial_once_in_order(monkeypatch):
     assert guard == [(53, 0)]
     assert len(blocks) == 3
     _assert_blocks_tile(blocks, 53, trials)
+    assert blocks == sorted(blocks)  # additive chunks take no lanes: trial order
 
 
 @pytest.mark.parametrize("grid", [None, [0.0, 3.0]], ids=["run", "grid"])
@@ -1047,9 +1053,8 @@ def _run_or_compare(spec, grid):
     return run(spec) if grid is None else compare_selection_rules(spec, grid)
 
 
-@pytest.mark.parametrize("sample_name, block_name, family, grid", _GUARD_CASES, ids=_GUARD_IDS)
-def test_stream_guard_rejects_a_block_that_departs_from_the_per_trial_stream(
-        monkeypatch, sample_name, block_name, family, grid):
+def _flip_first_row(monkeypatch, block_name):
+    # the block sampler's first row departs from the per-trial stream by 1 ulp
     original = getattr(harness_mod, block_name)
 
     def flipped(model, seed, start, stop):
@@ -1058,6 +1063,12 @@ def test_stream_guard_rejects_a_block_that_departs_from_the_per_trial_stream(
         return block
 
     monkeypatch.setattr(harness_mod, block_name, flipped)
+
+
+@pytest.mark.parametrize("sample_name, block_name, family, grid", _GUARD_CASES, ids=_GUARD_IDS)
+def test_stream_guard_rejects_a_block_that_departs_from_the_per_trial_stream(
+        monkeypatch, sample_name, block_name, family, grid):
+    _flip_first_row(monkeypatch, block_name)
     spec = ExperimentSpec(model=tls_model(), family=family, trials=20, seed=57)
     with pytest.raises(RuntimeError, match="departs from the per-trial sampler"):
         _run_or_compare(spec, grid)
@@ -1083,6 +1094,127 @@ def test_per_trial_sampler_is_reached_before_the_block_sampler(
     spec = ExperimentSpec(model=tls_model(), family=family, trials=20, seed=59)
     with pytest.raises(_Reached):
         _run_or_compare(spec, grid)
+
+
+# ---------------------------------------------------------------------------
+# lanes: errors-in-variables chunks evaluated on several threads merge to the
+# same bytes as on one, and a chunk's error leaves the run intact, with every
+# worker joined
+# ---------------------------------------------------------------------------
+
+def _lane_spec():
+    # ten chunks of 256 trials, the last one ragged
+    model = gaussian_model(N=64, p=3, theta=[1.0, 0.5, -0.5], sigma2=0.09, seed=73)
+    trials = 9 * _chunk(64 * 4) + 3
+    return ExperimentSpec(model=model, family="rrtls", trials=trials, seed=73)
+
+
+def _set_lanes(monkeypatch, lanes):
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: lanes)
+
+
+def _as_bytes(result):
+    return {field.name: (np.asarray(value).tobytes() if isinstance(value, (np.ndarray, float))
+                         else value)
+            for field in dataclasses.fields(result)
+            for value in [getattr(result, field.name)]}
+
+
+@pytest.mark.parametrize("grid", [None, [0.0, 1.0, 30.0]], ids=["run", "grid"])
+def test_errors_in_variables_bytes_do_not_depend_on_the_lane_count(monkeypatch, grid):
+    _inject_flaky_stack(monkeypatch)
+    kernel = harness_mod._eiv_kernel
+    threads_seen = []
+
+    def counted(*args):
+        threads_seen.append(threading.active_count())
+        return kernel(*args)
+
+    monkeypatch.setattr(harness_mod, "_eiv_kernel", counted)
+    spec = _lane_spec()
+    before = threading.active_count()
+    results = []
+    for lanes in (1, 3):
+        _set_lanes(monkeypatch, lanes)
+        threads_seen.clear()
+        results.append(_as_bytes(_run_or_compare(spec, grid)))
+        # chunk 0 before any worker starts, then lanes - 1 beside the caller
+        assert threads_seen[0] == before and max(threads_seen) == before + lanes - 1
+        assert threading.active_count() == before
+    one, three = results
+    assert one == three
+    assert one["failures"]["nonunique-tls"] > 0
+    assert one["completed"] + one["failures"]["nonunique-tls"] == spec.trials
+    if grid is not None:
+        assert one["witness"] is not None
+
+
+def test_stream_guard_error_leaves_a_run_on_lanes_before_any_worker(monkeypatch):
+    _set_lanes(monkeypatch, 3)
+    blocks = _count_draws(monkeypatch, "sample_tls_block")
+    _flip_first_row(monkeypatch, "sample_tls_block")
+    spec = _lane_spec()
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        run(spec)
+    assert type(caught.value) is RuntimeError
+    assert str(caught.value) == ("the block sampler's stream for seed 73 departs from the "
+                                 "per-trial sampler's at trial 0")
+    assert [start for _, start, _ in blocks] == [0]
+    assert threading.active_count() == before
+
+
+def test_lanes_under_stress_evaluate_each_chunk_once(monkeypatch):
+    # more lanes than cores and a short switch interval: a chunk evaluated
+    # twice or never, or merged out of order, would show
+    model = gaussian_model(N=2048, p=3, theta=[1.0, 0.5, -0.5], sigma2=0.09, seed=75)
+    rows = _chunk(2048 * 4)
+    spec = ExperimentSpec(model=model, family="rrtls", trials=50 * rows - 1, seed=75)
+    reference = _as_bytes(run(spec))
+    kernel = harness_mod._eiv_kernel
+    starts = []
+
+    def counted(spec, start, stop):
+        starts.append(start)
+        return kernel(spec, start, stop)
+
+    monkeypatch.setattr(harness_mod, "_eiv_kernel", counted)
+    _set_lanes(monkeypatch, 8)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: results.append(_as_bytes(run(spec))))
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert sorted(starts) == list(range(0, spec.trials, rows))
+    assert results == [reference]
+
+
+@pytest.mark.parametrize("grid", [None, [0.0, 1.0, 30.0]], ids=["run", "grid"])
+def test_worker_error_leaves_the_run_intact(monkeypatch, grid):
+    _set_lanes(monkeypatch, 3)
+    kernel = harness_mod._eiv_kernel
+    caller = threading.get_ident()
+    worker_failed = threading.Event()
+
+    def failing(spec, start, stop):
+        if threading.get_ident() != caller:
+            worker_failed.set()
+            raise ValueError("injected in a worker")
+        if start:  # leave at least one chunk to a worker
+            assert worker_failed.wait(timeout=60)
+        return kernel(spec, start, stop)
+
+    monkeypatch.setattr(harness_mod, "_eiv_kernel", failing)
+    before = threading.active_count()
+    with pytest.raises(ValueError) as caught:
+        _run_or_compare(_lane_spec(), grid)
+    assert type(caught.value) is ValueError and str(caught.value) == "injected in a worker"
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
