@@ -13,11 +13,12 @@ per error code and dropped.  The blocks come from ``model``'s block
 sampler; a stream guard draws trial 0 once through the per-trial
 ``sample_ls``/``sample_tls`` before a run's first block and raises
 ``RuntimeError`` unless the block's first row equals it bit for bit.
-Errors-in-variables chunks are evaluated on one lane per usable CPU (the
-calling thread and worker threads, ``_chunk_map``); additive chunks, which
-lost trials/s on lanes, run on the calling thread alone.  Either way each
-chunk's central moments are merged into the run totals on the calling
-thread in chunk order, so the bytes do not depend on the lane count.  The
+Errors-in-variables chunks after the first are evaluated by one worker
+thread per usable CPU, at most twice as many chunks ahead of the merge as
+there are workers (``_chunk_map``); additive chunks, which lost trials/s on
+lanes, run on the calling thread alone.  Either way each chunk's central
+moments are merged into the run totals on the calling thread in chunk
+order, so the bytes do not depend on the lane count.  The
 aggregates (per-rank squared errors, the data-driven risk estimate, the
 moments of the normalized full-rank error) are the statistics the
 verification suite reads, so it needs no per-trial rows.
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Optional, Sequence
@@ -465,13 +466,15 @@ def _chunk_map(chunk, trials: int, rows: int, merge, lanes: int) -> None:
     thread.
 
     Chunk 0 (it holds the stream guard) runs on the calling thread before
-    any worker starts.  With ``lanes`` > 1, the other chunks go in groups of
-    ``lanes``: the calling thread evaluates a group's first chunk while up
-    to ``lanes - 1`` worker threads evaluate one each, then merges the group
-    in chunk order.  So the merged bytes do not depend on ``lanes``, and a
+    any worker starts.  With ``lanes`` > 1, ``lanes`` worker threads take
+    the other chunks in chunk order as they free up, and the calling thread
+    only merges their results, in chunk order; the next chunk is submitted
+    once the oldest is merged, so at most ``2 * lanes`` run or wait ahead
+    of the merge.  So the merged bytes do not depend on ``lanes``, and a
     chunk's exception comes out intact, the first failing chunk in chunk
-    order winning as in a sequential loop.  Every worker is joined before
-    this returns or raises.
+    order winning as in a sequential loop, with the chunks queued behind it
+    cancelled unstarted.  Every worker is joined before this returns or
+    raises.
     """
     bounds = [(start, min(start + rows, trials)) for start in range(0, trials, rows)]
     merge(chunk(*bounds[0]))
@@ -483,12 +486,17 @@ def _chunk_map(chunk, trials: int, rows: int, merge, lanes: int) -> None:
     # Imported after the first trial, so a run's set-up time does not pay it.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(lanes - 1) as pool:
-        for first in range(1, len(bounds), lanes):
-            futures = [pool.submit(chunk, *bound) for bound in bounds[first + 1:first + lanes]]
-            merge(chunk(*bounds[first]))
-            for future in futures:
-                merge(future.result())
+    pool = ThreadPoolExecutor(lanes)
+    try:
+        window = deque()
+        for bound in bounds[1:]:
+            if len(window) == 2 * lanes:
+                merge(window.popleft().result())
+            window.append(pool.submit(chunk, *bound))
+        while window:
+            merge(window.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +512,12 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     A chunk kernel returns its completed trials' rows for each arm of its
     observation model, and each arm's moments are merged into the totals in
     chunk order on the calling thread, so a seed fixes every aggregate bit
-    for bit.  Errors-in-variables chunks are evaluated on one lane per
-    usable CPU (``os.sched_getaffinity``, capped by the chunks after the
-    first; the calling thread is one lane, ``_chunk_map``), as their
-    stacked SVDs and draws run outside the GIL; the bytes do not depend on
-    the lane count.  Additive chunks run on the calling thread alone: on
+    for bit.  Errors-in-variables chunks after the first are evaluated by
+    one worker thread per usable CPU (``os.sched_getaffinity``, capped by
+    the chunks after the first), as their stacked SVDs and draws run
+    outside the GIL, while the calling thread only merges their results in
+    chunk order (``_chunk_map``); the bytes do not depend on the lane
+    count.  Additive chunks run on the calling thread alone: on
     lanes they lost 13% trials/s and cost 17% more CPU at N=16, p=4.  No
     per-trial rows are kept.  An Optional result field is set exactly when
     its arm has a completed trial (the moment report of ``norm`` needs
@@ -639,6 +648,13 @@ def verify_chi_square(errors, sigma2: float, dof: int) -> MomentReport:
     return _moment_report(VecStats.from_block(s), dof)
 
 
+def _rank_tally(q_index: np.ndarray, p: int) -> np.ndarray:
+    """(G, p) counts of each 0-based rank index in every row of a (G, b)
+    block, from one ``np.bincount`` with row g offset by ``g p``."""
+    G = q_index.shape[0]
+    return np.bincount((q_index + p * np.arange(G)[:, None]).ravel(), minlength=G * p).reshape(G, p)
+
+
 def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> SelectionComparison:
     """Evaluate the reduced-TLS rank selection across a grid of parameter
     norms on identical realizations.
@@ -677,7 +693,7 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
     def merge(result):
         nonlocal counts, witness
         trials, scores, q_index, rejected = result
-        counts += np.count_nonzero(q_index[..., None] == np.arange(p), axis=1)
+        counts += _rank_tally(q_index, p)
         failures.update(rejected)
         if witness is None:
             movers = np.flatnonzero((q_index != q_index[0]).any(axis=0))

@@ -123,8 +123,11 @@ def _check_rule_inputs(scores, sigma2: float, theta_norm2: float = 0.0) -> None:
 
 def _count_rank(scores, threshold) -> np.ndarray:
     """``max(1, #{scores > threshold})`` along the last axis (the threshold
-    broadcast over the leading axes): the exact argmin of every rank rule."""
-    return np.maximum(np.count_nonzero(scores > np.asarray(threshold)[..., None], axis=-1), 1)
+    broadcast over the leading axes): the exact argmin of every rank rule.
+    A float matmul with ones counts exactly, and faster than
+    ``np.count_nonzero`` along a short axis, into that count's ``np.intp``."""
+    above = np.asarray(scores) > np.asarray(threshold)[..., None]
+    return np.maximum(above @ np.ones(above.shape[-1]), 1).astype(np.intp)
 
 
 def risk_objective(scores, sigma2: float) -> np.ndarray:

@@ -371,14 +371,15 @@ def sample_tls_block(model: MeasurementModel, seed: int, start: int, stop: int) 
     """Augmented matrices ``[H_tilde, y]`` of trials ``[start, stop)`` as a
     (b, N, p + 1) block whose entry ``i`` equals ``sample_tls(model, seed,
     start + i)``'s bit for bit (draw order: ``z_obs``, then ``z_mat``
-    row-major), assembled in place."""
+    row-major): ``[z_mat, z_obs]`` laid out once, then scaled per column and
+    shifted by ``[H, x]`` in place, each entry rounded as in ``sample_tls``."""
     N, p = model.N, model.p
     Z = _normal_rows(seed, start, stop, N * (p + 1))
-    A = np.empty((stop - start, N, p + 1))
-    np.multiply(Z[:, N:].reshape(-1, N, p), np.sqrt(model.sigma2), out=A[..., :p])
-    A[..., :p] += model.H
-    np.multiply(Z[:, :N], np.sqrt(model.sigma2 * (1.0 + model.theta_norm2)), out=A[..., p])
-    A[..., p] += model.x
+    A = np.concatenate([Z[:, N:].reshape(-1, N, p), Z[:, :N, None]], axis=2)
+    scale = np.full(p + 1, np.sqrt(model.sigma2))
+    scale[p] = np.sqrt(model.sigma2 * (1.0 + model.theta_norm2))
+    A *= scale
+    A += np.column_stack([model.H, model.x])
     return A
 
 

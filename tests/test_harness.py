@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import time
 from functools import partial
 
 import numpy as np
@@ -466,6 +467,25 @@ def test_run_is_scale_equivariant(family, k):
         assert res_scaled.failures == res.failures
         np.testing.assert_allclose(res_scaled.mse_emp, c * c * res.mse_emp, rtol=1e-12)
         np.testing.assert_allclose(res_scaled.mse_se, c * c * res.mse_se, rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape, threshold", [
+    ((4,), 0.5), ((4,), np.arange(8) / 8), ((1024, 4), 0.5), ((8, 512, 4), np.arange(8)[:, None] / 8),
+], ids=["rule", "certificate", "chunk", "grid"])
+def test_count_kernels_match_count_nonzero(shape, threshold):
+    # the matmul count and the bincount tally against the np.count_nonzero
+    # forms they replaced: equal arrays of the same type and dtype, on
+    # dyadic scores that tie the thresholds
+    scores = np.random.default_rng(81).integers(0, 5, shape) / 4
+    counted = harness_mod._count_rank(scores, threshold)
+    reference = np.maximum(np.count_nonzero(scores > np.asarray(threshold)[..., None], axis=-1), 1)
+    assert type(counted) is type(reference) and counted.dtype == reference.dtype
+    assert np.array_equal(counted, reference)
+    if counted.ndim == 2:
+        p = shape[-1]
+        tally = harness_mod._rank_tally(counted - 1, p)
+        reference = np.count_nonzero((counted - 1)[..., None] == np.arange(p), axis=1)
+        assert tally.dtype == reference.dtype and np.array_equal(tally, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -1134,12 +1154,13 @@ def test_errors_in_variables_bytes_do_not_depend_on_the_lane_count(monkeypatch, 
     spec = _lane_spec()
     before = threading.active_count()
     results = []
-    for lanes in (1, 3):
+    for lanes, workers in ((1, 0), (3, 3)):
         _set_lanes(monkeypatch, lanes)
         threads_seen.clear()
         results.append(_as_bytes(_run_or_compare(spec, grid)))
-        # chunk 0 before any worker starts, then lanes - 1 beside the caller
-        assert threads_seen[0] == before and max(threads_seen) == before + lanes - 1
+        # chunk 0 before any worker starts, then one worker per lane while
+        # the caller merges
+        assert threads_seen[0] == before and max(threads_seen) == before + workers
         assert threading.active_count() == before
     one, three = results
     assert one == three
@@ -1215,6 +1236,93 @@ def test_worker_error_leaves_the_run_intact(monkeypatch, grid):
         _run_or_compare(_lane_spec(), grid)
     assert type(caught.value) is ValueError and str(caught.value) == "injected in a worker"
     assert threading.active_count() == before
+
+
+def test_lanes_run_at_most_two_chunks_per_lane_ahead_of_the_merge(monkeypatch):
+    lanes = 2
+    _set_lanes(monkeypatch, lanes)
+    spec = _lane_spec()
+    total = len(range(0, spec.trials, _chunk(64 * 4)))
+    kernel, merge = harness_mod._eiv_kernel, harness_mod._merge_chunk
+    changed = threading.Condition()
+    merged = [0]
+    ahead = []  # chunks started and not yet merged, as each chunk starts
+
+    def counted(*args):
+        with changed:
+            ahead.append(len(ahead) + 1 - merged[0])
+            changed.notify_all()
+        return kernel(*args)
+
+    def slow_merge(*args):
+        # once the workers run, the caller waits for them to fill the window,
+        # then gives them time to overrun it
+        with changed:
+            assert changed.wait_for(lambda: merged[0] == 0 or len(ahead) >= min(
+                total, merged[0] + 2 * lanes), timeout=60)
+        time.sleep(0.05)
+        merge(*args)
+        with changed:
+            merged[0] += 1
+
+    monkeypatch.setattr(harness_mod, "_eiv_kernel", counted)
+    monkeypatch.setattr(harness_mod, "_merge_chunk", slow_merge)
+    run(spec)
+    assert merged[0] == total and max(ahead) == 2 * lanes
+
+
+@pytest.mark.parametrize("grid", [None, [0.0, 1.0, 30.0]], ids=["run", "grid"])
+def test_a_chunk_error_cancels_the_chunks_queued_behind_it(monkeypatch, grid):
+    lanes, k = 2, 3
+    _set_lanes(monkeypatch, lanes)
+    rows = _chunk(64 * 4)
+    kernel = harness_mod._eiv_kernel
+    started = []
+
+    def failing(spec, start, stop):
+        started.append(start // rows)
+        if start == k * rows:
+            raise ValueError("injected in chunk k")
+        if start > k * rows:
+            time.sleep(0.2)  # every worker holds its chunk past k until the cancel
+        return kernel(spec, start, stop)
+
+    monkeypatch.setattr(harness_mod, "_eiv_kernel", failing)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="injected in chunk k"):
+        _run_or_compare(_lane_spec(), grid)
+    assert threading.active_count() == before
+    # the started chunks are a prefix of the chunk order; the window admits
+    # chunks up to k + 2 lanes - 1, but the ones still queued when chunk k
+    # fails are cancelled, so only the one chunk past k that each worker
+    # holds has started
+    assert sorted(started) == list(range(len(started)))
+    assert k < max(started) <= k + lanes
+
+
+# the names bench/tracer.py wraps to time the layers of one thread
+_TRACED = [(harness_mod, name) for name in (
+    "sample_ls", "sample_tls", "svd", "order_by_scores", "select_rank_ls", "tls_solve",
+    "augmented_scores", "q_objective", "q_objective_bias_recipe")] + [
+    (VecStats, "add"), (VecStats, "merge")]
+
+
+@pytest.mark.parametrize("grid", [None, [0.0, 1.0, 30.0]], ids=["run", "grid"])
+def test_lanes_call_the_traced_names_on_the_calling_thread_only(monkeypatch, grid):
+    _set_lanes(monkeypatch, 3)
+    calls = []
+    for owner, name in _TRACED + [(harness_mod, "_eiv_kernel")]:
+        def recorded(*args, _original=getattr(owner, name), _name=name):
+            calls.append((_name, threading.get_ident()))
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, recorded)
+    _run_or_compare(_lane_spec(), grid)
+    caller = threading.get_ident()
+    assert {ident for name, ident in calls if name != "_eiv_kernel"} == {caller}
+    assert {name for name, _ in calls} >= {"sample_tls", "_eiv_kernel"} | (
+        {"merge"} if grid is None else set())
+    assert any(ident != caller for name, ident in calls if name == "_eiv_kernel")
 
 
 # ---------------------------------------------------------------------------
