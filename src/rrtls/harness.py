@@ -32,8 +32,6 @@ score vector whose selected rank provably changes with the parameter norm.
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -42,7 +40,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, check_integer, check_real, finite_array
 # The functions below are looked up on this module at call time, so
 # callers can wrap them (bench/tracer.py, bench/probe.py, the tests; a run
 # reaches the per-trial samplers before its first block); the
@@ -219,11 +217,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral):
-            raise ValueError(f"trials must be an integer, got {self.trials!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        _check_integer(self.seed, "seed", 0)
+        check_integer(self.trials, "trials", 1)
+        check_integer(self.seed, "seed", 0)
         N, p = self.model.N, self.model.p
         if self.observation == ERRORS_IN_VARIABLES and N < p + 1:
             raise ValueError(
@@ -232,19 +227,16 @@ class ExperimentSpec:
             )
         if self.tls_mode not in Q_MODES:
             raise ValueError(f"tls_mode must be one of {Q_MODES}, got {self.tls_mode!r}")
-        if self.bound is not None and (isinstance(self.bound, bool)
-                                       or not isinstance(self.bound, numbers.Real)
-                                       or not math.isfinite(self.bound)):
-            raise ValueError(f"bound must be finite and real, got {self.bound!r}")
+        if self.bound is not None:
+            check_real(self.bound, "bound")
         if self.observation == ADDITIVE and self.tls_mode != "oracle":
             raise ValueError(f"family {self.family!r} has no reduced-TLS objective; "
                              f"tls_mode must be 'oracle', got {self.tls_mode!r}")
         if self.tls_mode != "bound" and self.bound is not None:
             raise ValueError(f"bound is only used in bound mode, got bound={self.bound!r} "
                              f"with tls_mode={self.tls_mode!r}")
-        if self.tls_mode == "bound":
-            if self.bound is None or self.bound < 0:
-                raise ValueError("bound mode requires a nonnegative bound")
+        if self.tls_mode == "bound" and self.bound is None:
+            raise ValueError("bound mode requires a nonnegative bound")
 
     @property
     def observation(self) -> str:
@@ -610,21 +602,6 @@ def _moment_report(stats: VecStats, dof: int) -> MomentReport:
     )
 
 
-def _check_integer(value, name: str, minimum: int) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is an integer (numpy
-    integers included, bools not) of at least ``minimum``, 0 or 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        kind = "positive" if minimum else "non-negative"
-        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
-
-
-def _check_positive_sigma2(sigma2, why: str) -> None:
-    """``ValueError`` unless ``sigma2`` is a finite real > 0 (bools and
-    strings rejected); ``why`` ends the message."""
-    if isinstance(sigma2, bool) or not isinstance(sigma2, numbers.Real) or not 0 < sigma2 < math.inf:
-        raise ValueError(f"sigma2 must be finite and > 0 {why}, got {sigma2!r}")
-
-
 def verify_chi_square(errors, sigma2: float, dof: int) -> MomentReport:
     """Check the chi-square moments of normalized squared errors.
 
@@ -634,16 +611,12 @@ def verify_chi_square(errors, sigma2: float, dof: int) -> MomentReport:
     ``MEAN_RTOL`` (relative) and variance within ``VAR_RTOL``.  ``sigma2``
     must be finite and positive and ``dof`` a positive integer.
     """
-    E = np.asarray(errors, dtype=float)
-    if E.ndim != 2:
-        raise ValueError(f"expected a sequence of vectors, got shape {E.shape}")
+    E = finite_array(errors, "errors", 2)
     n = E.shape[0]
     if n < MIN_SAMPLES:
         raise InsufficientDataError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    _check_positive_sigma2(sigma2, "for a normalized error")
-    _check_integer(dof, "dof", 1)
-    if not np.isfinite(E).all():
-        raise ValueError("error entries must be finite")
+    check_real(sigma2, "sigma2", strict=True)
+    check_integer(dof, "dof", 1)
     s = np.einsum("ij,ij->i", E, E) / sigma2
     return _moment_report(VecStats.from_block(s), dof)
 
@@ -734,12 +707,12 @@ def search_norm_dependence_witness(
     holds fewer than two distinct values, ``p`` is not a positive integer
     or ``seed`` not a non-negative one.
     """
-    _check_positive_sigma2(sigma2, "for a witness to exist")
+    check_real(sigma2, "sigma2", strict=True)
     grid = _norm_grid(t_grid, "t_grid") if np.size(t_grid) else ()
     if len(set(grid)) < 2:
         raise ValueError(f"t_grid needs two distinct values for a witness to exist, got {t_grid!r}")
-    _check_integer(p, "p", 1)
-    _check_integer(seed, "seed", 0)
+    check_integer(p, "p", 1)
+    check_integer(seed, "seed", 0)
     rng = _aux_rng(seed, 4)
     for attempt in range(1, MAX_WITNESS_TRIES + 1):
         scores = sigma2 * np.sort(rng.uniform(0.0, 12.0, size=p + 1))[::-1]

@@ -13,14 +13,11 @@ singular vectors with the observation.
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
-from .errors import SingularModelError
+from .errors import SingularModelError, check_real, finite_vector
 from .model import RANK_RTOL, MeasurementModel, _value_type
-from .svdtools import OrderedBasis, check_rank, finite_vector, svd
+from .svdtools import OrderedBasis, check_rank, svd
 
 
 @_value_type("theta_hat", "x_hat", "n_hat")
@@ -111,14 +108,12 @@ def tail_sums(scores: np.ndarray) -> np.ndarray:
 
 def _check_rule_inputs(scores, sigma2: float, theta_norm2: float = 0.0) -> None:
     """Inputs of the public rank rules: squared-product scores are
-    nonnegative, and the noise variance and the squared parameter norm are
-    finite nonnegative reals (a NaN would silently select a rank; bools
-    and strings are rejected)."""
+    nonnegative, and the noise variance and the squared parameter norm
+    follow ``errors.check_real`` (a NaN would silently select a rank)."""
     if not np.all(np.asarray(scores) >= 0):
         raise ValueError("scores are squared products and must be nonnegative")
-    for name, value in (("sigma2", sigma2), ("theta_norm2", theta_norm2)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    check_real(sigma2, "sigma2")
+    check_real(theta_norm2, "theta_norm2")
 
 
 def _count_rank(scores, threshold) -> np.ndarray:

@@ -40,15 +40,25 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ModelInvalidError
+from .errors import ModelInvalidError, check_integer, check_real, finite_array, finite_vector
 
 # Relative singular-value threshold defining numerical full rank: the
 # smallest singular value of H must exceed RANK_RTOL times the largest.
 RANK_RTOL = 1e-10
 
 
+def _model_input(rule, *args):
+    # An input rule of errors.py, its ValueError raised as ModelInvalidError.
+    try:
+        return rule(*args)
+    except ValueError as err:
+        raise ModelInvalidError(str(err)) from None
+
+
 def _check_shape(N: int, p: int) -> None:
-    if not (1 <= p <= N):
+    _model_input(check_integer, N, "N", 1)
+    _model_input(check_integer, p, "p", 1)
+    if not p <= N:
         raise ModelInvalidError(f"need 1 <= p <= N, got N={N}, p={p}")
 
 
@@ -81,11 +91,12 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent, reproducible random stream for one (seed, trial) pair.
 
     Streams for distinct trial indices are statistically independent and
-    do not depend on the order in which they are created.
+    do not depend on the order in which they are created.  ``ValueError``
+    unless seed and trial are non-negative integers: a bool, float or
+    string is never truncated to another trial's stream.
     """
-    if trial < 0:
-        raise ValueError("trial index must be nonnegative")
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
+    entropy = [check_integer(seed, "seed", 0), check_integer(trial, "trial", 0)]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def _aux_rng(seed: int, tag: int) -> np.random.Generator:
@@ -94,7 +105,7 @@ def _aux_rng(seed: int, tag: int) -> np.random.Generator:
     # spawn key, so this pool is that of trial_rng(seed, tag * 2**96) and of
     # no trial index below that: a builder's design is independent of every
     # trial's noise in a sweep run at the same seed.
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(tag),)))
+    return np.random.default_rng(np.random.SeedSequence(check_integer(seed, "seed", 0), spawn_key=(tag,)))
 
 
 # numpy's SeedSequence hash (bit_generator.pyx) and the 128-bit PCG64
@@ -262,8 +273,10 @@ class MeasurementModel:
     sigma2 : float
         Per-entry noise variance; 0 is allowed for noiseless oracle runs.
 
-    Raises ``ModelInvalidError`` unless the smallest singular value of
-    ``H`` exceeds ``RANK_RTOL`` (1e-10) times the largest.
+    Raises ``ModelInvalidError`` naming the argument unless H is finite
+    and 2-D with ``1 <= p <= N``, theta holds p finite entries, sigma2 is
+    a finite real >= 0 (``errors.check_real``) and the smallest singular
+    value of H exceeds ``RANK_RTOL`` (1e-10) times the largest.
     """
 
     H: np.ndarray
@@ -271,22 +284,10 @@ class MeasurementModel:
     sigma2: float
 
     def __post_init__(self):
-        H = np.asarray(self.H, dtype=float)
-        theta = np.asarray(self.theta, dtype=float).reshape(-1)
-        if H.ndim != 2:
-            raise ModelInvalidError(f"H must be 2-D, got shape {H.shape}")
-        N, p = H.shape
-        _check_shape(N, p)
-        if theta.shape[0] != p:
-            raise ModelInvalidError(
-                f"theta has length {theta.shape[0]}, expected p={p}"
-            )
-        if not (np.isfinite(H).all() and np.isfinite(theta).all()):
-            raise ModelInvalidError("H and theta must be finite")
-        if isinstance(self.sigma2, (bool, np.bool_)):
-            raise ModelInvalidError(f"sigma2 must be a number, got {self.sigma2!r}")
-        if not np.isfinite(self.sigma2) or self.sigma2 < 0:
-            raise ModelInvalidError(f"sigma2 must be >= 0, got {self.sigma2}")
+        H = _model_input(finite_array, self.H, "H", 2)
+        _check_shape(*H.shape)
+        theta = _model_input(finite_vector, self.theta, "theta", H.shape[1])
+        sigma2 = _model_input(check_real, self.sigma2, "sigma2")
         svals = np.linalg.svd(H, compute_uv=False)
         if svals[-1] <= RANK_RTOL * svals[0]:
             raise ModelInvalidError(
@@ -295,7 +296,7 @@ class MeasurementModel:
             )
         object.__setattr__(self, "H", _frozen_array(H))
         object.__setattr__(self, "theta", _frozen_array(theta))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+        object.__setattr__(self, "sigma2", sigma2)
         object.__setattr__(self, "_x", _frozen_array(H @ theta))
 
     @property
@@ -384,12 +385,16 @@ def sample_tls_block(model: MeasurementModel, seed: int, start: int, stop: int) 
 
 
 # ---------------------------------------------------------------------------
-# Model builders used by the experiment harness and the CLI
+# Model builders used by the experiment harness and the CLI.  Before it
+# draws the design, each raises ModelInvalidError naming an N or p that is
+# not a positive integer, a seed that is not a non-negative one, or a
+# non-finite spectrum or coefficients vector.
 # ---------------------------------------------------------------------------
 
 def gaussian_model(N: int, p: int, theta, sigma2: float, seed: int) -> MeasurementModel:
     """Model with H drawn once from i.i.d. standard normal entries."""
-    rng = _aux_rng(seed, 1)
+    _check_shape(N, p)
+    rng = _model_input(_aux_rng, seed, 1)
     H = rng.standard_normal((N, p))
     return MeasurementModel(H=H, theta=theta, sigma2=sigma2)
 
@@ -397,12 +402,12 @@ def gaussian_model(N: int, p: int, theta, sigma2: float, seed: int) -> Measureme
 def spectrum_model(N: int, spectrum, theta, sigma2: float, seed: int) -> MeasurementModel:
     """Model whose H has prescribed singular values and random singular
     vectors (orthonormal factors from QR of Gaussian draws)."""
-    spectrum = np.asarray(spectrum, dtype=float).reshape(-1)
+    spectrum = _model_input(finite_vector, spectrum, "spectrum", np.size(spectrum))
     p = spectrum.shape[0]
     _check_shape(N, p)
     if np.any(spectrum <= 0):
         raise ModelInvalidError("prescribed singular values must be positive")
-    rng = _aux_rng(seed, 2)
+    rng = _model_input(_aux_rng, seed, 2)
     Q1, _ = np.linalg.qr(rng.standard_normal((N, p)))
     Q2, _ = np.linalg.qr(rng.standard_normal((p, p)))
     H = (Q1 * spectrum) @ Q2.T
@@ -418,10 +423,10 @@ def planted_model(N: int, coefficients, sigma2: float, seed: int) -> Measurement
     ``coefficients[j]**2``.  Entries may be zero to plant a low-rank
     signal inside a full-rank design.
     """
-    c = np.asarray(coefficients, dtype=float).reshape(-1)
+    c = _model_input(finite_vector, coefficients, "coefficients", np.size(coefficients))
     p = c.shape[0]
     _check_shape(N, p)
-    rng = _aux_rng(seed, 3)
+    rng = _model_input(_aux_rng, seed, 3)
     Q1, _ = np.linalg.qr(rng.standard_normal((N, p)))
     Q2, _ = np.linalg.qr(rng.standard_normal((p, p)))
     # Distinct singular values keep the left singular vectors unique up to

@@ -10,10 +10,9 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
+from .errors import check_integer, finite_array, finite_vector
 from .model import _value_type
 
 ORTHO_TOL = 1e-10
@@ -56,11 +55,7 @@ def svd(M) -> SvdFactorization:
 
     Requires a tall-or-square finite matrix (N >= k).
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix entries must be finite")
+    M = finite_array(M, "M", 2)
     N, k = M.shape
     if N < k:
         raise ValueError(f"expected N >= k, got shape {M.shape}")
@@ -82,17 +77,6 @@ def check_orthonormal(U) -> None:
         )
 
 
-def finite_vector(a, name: str, n: int) -> np.ndarray:
-    """``a`` as a float vector; ``ValueError`` naming ``name`` unless it has
-    ``n`` entries, all finite."""
-    v = np.asarray(a, dtype=float).reshape(-1)
-    if v.shape[0] != n:
-        raise ValueError(f"dimension mismatch: {name} has length {v.shape[0]}, expected {n}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} must be finite")
-    return v
-
-
 def order_by_scores(U, y) -> OrderedBasis:
     """Sort orthonormal columns of U by descending squared product with y.
 
@@ -112,9 +96,7 @@ def order_by_scores(U, y) -> OrderedBasis:
 def check_rank(basis: OrderedBasis, r: int) -> None:
     """Raise ``ValueError`` unless ``r`` is an integer (numpy integers
     included, bools not) with ``1 <= r <= basis.k``."""
-    if isinstance(r, bool) or not isinstance(r, numbers.Integral):
-        raise ValueError(f"rank r must be an integer, got {r!r}")
-    if not 1 <= r <= basis.k:
+    if check_integer(r, "rank r", 1) > basis.k:
         raise ValueError(f"rank r={r} out of range 1..{basis.k}")
 
 

@@ -20,15 +20,14 @@ rule exists.
 
 from __future__ import annotations
 
-import numbers
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateSolutionError, NonUniqueTlsError
+from .errors import DegenerateSolutionError, NonUniqueTlsError, check_integer, finite_array, finite_vector
 from .ls import _check_rule_inputs, _count_rank, ls_reduced, risk_objective, tail_sums
 from .model import MeasurementModel, _value_type
-from .svdtools import OrderedBasis, SvdFactorization, finite_vector, svd
+from .svdtools import OrderedBasis, SvdFactorization, svd
 
 # Relative thresholds of the TLS rejection checks (``_rejection_codes``).
 GAP_RTOL = 1e-10
@@ -129,15 +128,6 @@ def _rejection_codes(S, v, core) -> np.ndarray:
                     np.where(degenerate, DegenerateSolutionError.code, ""))
 
 
-def _finite_matrix(H_tilde) -> np.ndarray:
-    """``H_tilde`` as a float matrix; ``ValueError`` naming it unless it is
-    2-D with finite entries."""
-    H_tilde = np.asarray(H_tilde, dtype=float)
-    if H_tilde.ndim != 2 or not np.isfinite(H_tilde).all():
-        raise ValueError(f"H_tilde must be a finite 2-D matrix, got shape {H_tilde.shape}")
-    return H_tilde
-
-
 def tls_solve(H_tilde, y) -> TlsEstimate:
     """Solve the TLS problem from the SVD of the augmented matrix.
 
@@ -168,7 +158,7 @@ def tls_solve(H_tilde, y) -> TlsEstimate:
         values only when the bound does not clear the threshold by
         ``DEGENERACY_SCREEN``; the message gives the exact value.
     """
-    H_tilde = _finite_matrix(H_tilde)
+    H_tilde = finite_array(H_tilde, "H_tilde", 2)
     y = finite_vector(y, "y", H_tilde.shape[0])
     N, p = H_tilde.shape
     if N < p + 1:
@@ -214,11 +204,9 @@ def tls_factor_stack(A):
     the core only for the rows whose right singular vectors leave its
     degeneracy undecided.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 3 or A.shape[1] < A.shape[2]:
+    A = finite_array(A, "A", 3)
+    if A.shape[1] < A.shape[2]:
         raise ValueError(f"expected a (b, N, p + 1) stack with N >= p + 1, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix entries must be finite")
     p = A.shape[2] - 1
     U, S, Vt = np.linalg.svd(A, full_matrices=False)
     core = np.swapaxes(U[..., :p], 1, 2) @ A[..., :p]
@@ -229,7 +217,7 @@ def tls_factor_stack(A):
 def tls_objective(theta, H_tilde, y) -> float:
     """Normalized residual ``|H_tilde @ theta - y|^2 / (theta @ theta + 1)``,
     the quantity the TLS solution minimizes."""
-    H_tilde = _finite_matrix(H_tilde)
+    H_tilde = finite_array(H_tilde, "H_tilde", 2)
     theta = finite_vector(theta, "theta", H_tilde.shape[1])
     y = finite_vector(y, "y", H_tilde.shape[0])
     r = H_tilde @ theta - y
@@ -275,8 +263,7 @@ def _rule_scores(scores, sigma2: float, p: int, theta_norm2: float = 0.0) -> np.
     (bools rejected), ``p + 1`` augmented scores, returned flat, whose
     first ``p`` are nonincreasing, and the checks of
     ``ls._check_rule_inputs``."""
-    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
-        raise ValueError(f"p must be a positive integer, got {p!r}")
+    check_integer(p, "p", 1)
     scores = np.asarray(scores, dtype=float).reshape(-1)
     if scores.shape[0] != p + 1:
         raise ValueError(f"expected p + 1 = {p + 1} scores, got {scores.shape[0]}")

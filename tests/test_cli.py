@@ -593,7 +593,7 @@ def test_sweep_rejects_non_object_configs(tmp_path, capsys, no_draws, cfg, messa
          "bound is only used in bound mode"),
         ({**TLS_SWEEP, "tls_mode": {"mode": "bound"}}, "bound mode requires a nonnegative bound"),
         ({**TLS_SWEEP, "tls_mode": {"mode": "bound", "bound": -1.0}},
-         "bound mode requires a nonnegative bound"),
+         "bound must be finite and >= 0, got -1.0"),
         ({**TLS_SWEEP, "family": "rrls", "tls_mode": {"mode": "oracle"}},
          "'tls_mode' is only valid for families tls/rrtls"),
         ({**TLS_SWEEP, "family": "rrls", "tls_mode": {"mode": "bound", "bound": 4.0}},

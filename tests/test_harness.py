@@ -331,8 +331,8 @@ def test_chi_square_insufficient_data():
         (float("inf"), 4, 1.0, "sigma2 must be finite"),
         (True, 4, 1.0, "sigma2 must be finite and > 0"),
         ("1", 4, 1.0, "sigma2 must be finite and > 0"),
-        (1.0, 4, float("nan"), "entries must be finite"),
-        (1.0, 4, float("inf"), "entries must be finite"),
+        (1.0, 4, float("nan"), "errors must be finite"),
+        (1.0, 4, float("inf"), "errors must be finite"),
         (1.0, 0, 1.0, "dof must be a positive integer"),
         (1.0, -1, 1.0, "dof must be a positive integer"),
         (1.0, 2.5, 1.0, "dof must be a positive integer"),
@@ -1331,7 +1331,7 @@ def test_lanes_call_the_traced_names_on_the_calling_thread_only(monkeypatch, gri
 
 @pytest.mark.parametrize("trials", [True, 2.5, "3", None])
 def test_trials_must_be_an_integer(trials):
-    with pytest.raises(ValueError, match="trials must be an integer"):
+    with pytest.raises(ValueError, match="trials must be a positive integer"):
         ExperimentSpec(model=small_model(), family="ls", trials=trials, seed=1)
 
 

@@ -13,6 +13,7 @@ from rrtls import (
     SingularModelError,
     augmented_scores,
     bias_estimate,
+    gaussian_model,
     ls_full,
     ls_reduced,
     mse_theoretical_ls,
@@ -24,11 +25,14 @@ from rrtls import (
     q_objective_bias_recipe,
     run,
     sample_ls,
+    sample_tls,
     select_rank_ls,
+    spectrum_model,
     svd,
     tls_objective,
     tls_reduced,
     tls_solve,
+    trial_rng,
 )
 
 SEED = 424201
@@ -364,19 +368,65 @@ _BAD_INPUTS = {
                                          sigma2=0.1), ValueError, "y must be finite"),
     "tls_solve-nan-y": (lambda: tls_solve(_H6, _y6(np.nan)), ValueError, "y must be finite"),
     "tls_solve-inf-H_tilde": (lambda: tls_solve(np.where(_H6 > 1, np.inf, _H6), _y6()), ValueError,
-                              "H_tilde must be a finite 2-D matrix"),
+                              "H_tilde must be finite"),
     "tls_objective-nan-y": (lambda: tls_objective(np.ones(3), _H6, _y6(np.nan)), ValueError,
                             "y must be finite"),
     "tls_objective-short-theta": (lambda: tls_objective(np.ones(2), _H6, _y6()), ValueError,
                                   "theta has length 2, expected 3"),
     "model-bool-sigma2": (lambda: MeasurementModel(_H6, np.ones(3), sigma2=True), ModelInvalidError,
-                          "sigma2 must be a number, got True"),
+                          "sigma2 must be finite and >= 0, got True"),
     "augmented_scores-nan-y": (lambda: augmented_scores(_basis6(), np.eye(6)[4], _y6(np.nan)),
                                ValueError, "y must be finite"),
     "augmented_scores-short-y": (lambda: augmented_scores(_basis6(), np.eye(6)[4], _y6()[:4]),
                                  ValueError, "y has length 4, expected 6"),
     "augmented_scores-nan-u_s": (lambda: augmented_scores(_basis6(), np.full(6, np.nan), _y6()),
                                  ValueError, "u_s must be finite"),
+    # seeds and trial indices are never truncated: trial_rng(1.5, 0),
+    # trial_rng(True, 0) and trial_rng(1, 0.9) each returned trial_rng(1, 0)'s
+    # stream, gaussian_model(..., seed=3.7) seed 3's design, and a string
+    # raised a raw TypeError
+    "trial_rng-fraction-seed": (lambda: trial_rng(1.5, 0), ValueError,
+                                r"^seed must be a non-negative integer, got 1\.5"),
+    "trial_rng-bool-seed": (lambda: trial_rng(True, 0), ValueError,
+                            "seed must be a non-negative integer, got True"),
+    "trial_rng-fraction-trial": (lambda: trial_rng(1, 0.9), ValueError,
+                                 "trial must be a non-negative integer, got 0.9"),
+    "trial_rng-str-trial": (lambda: trial_rng(1, "0"), ValueError,
+                            "trial must be a non-negative integer, got '0'"),
+    "trial_rng-negative-trial": (lambda: trial_rng(1, -1), ValueError,
+                                 "trial must be a non-negative integer, got -1"),
+    "sample_ls-float-seed": (lambda: sample_ls(MeasurementModel(_H6, np.ones(3), 0.1), 3.0, 0),
+                             ValueError, "seed must be a non-negative integer, got 3.0"),
+    "sample_tls-bool-trial": (lambda: sample_tls(MeasurementModel(_H6, np.ones(3), 0.1), 3, False),
+                              ValueError, "trial must be a non-negative integer, got False"),
+    "gaussian-fraction-seed": (lambda: gaussian_model(16, 4, np.ones(4), 0.1, seed=3.7),
+                               ModelInvalidError, "seed must be a non-negative integer, got 3.7"),
+    "planted-str-seed": (lambda: planted_model(16, [1.0, 0.5], 0.1, seed="3"), ModelInvalidError,
+                         "seed must be a non-negative integer, got '3'"),
+    # a non-real noise variance and a non-integer shape raised a raw
+    # TypeError (or ran with N=True as N=1)
+    "model-str-sigma2": (lambda: MeasurementModel(_H6, np.ones(3), sigma2="1"), ModelInvalidError,
+                         "sigma2 must be finite and >= 0, got '1'"),
+    "model-none-sigma2": (lambda: MeasurementModel(_H6, np.ones(3), sigma2=None), ModelInvalidError,
+                          "sigma2 must be finite and >= 0, got None"),
+    "model-complex-sigma2": (lambda: MeasurementModel(_H6, np.ones(3), sigma2=1j), ModelInvalidError,
+                             "sigma2 must be finite and >= 0, got 1j"),
+    "model-array-sigma2": (lambda: MeasurementModel(_H6, np.ones(3), sigma2=np.array([0.5])),
+                           ModelInvalidError, r"sigma2 must be finite and >= 0, got array\(\[0\.5\]\)"),
+    "model-nan-theta": (lambda: MeasurementModel(_H6, [1.0, np.nan, 1.0], sigma2=0.1),
+                        ModelInvalidError, "theta must be finite"),
+    "gaussian-float-p": (lambda: gaussian_model(16, 4.0, np.ones(4), 0.1, seed=3), ModelInvalidError,
+                         "p must be a positive integer, got 4.0"),
+    "planted-fraction-N": (lambda: planted_model(16.5, [1.0, 0.5], 0.1, seed=3), ModelInvalidError,
+                           "N must be a positive integer, got 16.5"),
+    "spectrum-bool-N": (lambda: spectrum_model(True, [1.0], np.ones(1), 0.1, seed=3),
+                        ModelInvalidError, "N must be a positive integer, got True"),
+    # a NaN singular value or coefficient was reported as a non-finite H or
+    # theta, which the caller never passed
+    "spectrum-nan-spectrum": (lambda: spectrum_model(16, [1.0, np.nan], np.ones(2), 0.1, seed=3),
+                              ModelInvalidError, "spectrum must be finite"),
+    "planted-inf-coefficients": (lambda: planted_model(16, [1.0, np.inf], 0.1, seed=3),
+                                 ModelInvalidError, "coefficients must be finite"),
 }
 
 
@@ -405,7 +455,7 @@ def test_rank_arguments_must_be_integers(function, r):
     # unchecked, r=True ran as rank 1 and a float failed inside numpy's
     # slicing; numpy integers stay valid
     call = _RANK_FUNCTIONS[function]
-    with pytest.raises(ValueError, match="rank r must be an integer"):
+    with pytest.raises(ValueError, match="rank r must be a positive integer"):
         call(_basis6(), r)
     call(_basis6(), np.int64(2))
 
