@@ -116,15 +116,6 @@ def _seed_arg(text: str) -> int:
     raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
 
 
-def _rank_policy(cfg: dict, key: str, context: str):
-    v = cfg.get(key, "auto")
-    if v == "auto":
-        return "auto"
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{context}.{key} must be 'auto' or an integer")
-    return v
-
-
 def _numbers(values: list, context: str, minimum=None) -> np.ndarray:
     return np.array([_number(values, i, context, minimum) for i in range(len(values))])
 
@@ -195,7 +186,7 @@ def cmd_estimate(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(
         cfg,
-        allowed={"family", "y", "H", "sigma2", "rank", "bound"},
+        allowed={"family", "y", "H", "sigma2", "bound"},
         required={"family", "y", "H", "sigma2"},
         context="config",
     )
@@ -209,7 +200,6 @@ def cmd_estimate(args) -> int:
     sigma2 = _number(cfg, "sigma2", "config", minimum=0.0)
     H = read_matrix(_path(cfg, "H", "config"))
     y = read_vector(_path(cfg, "y", "config"))
-    rank_policy = _rank_policy(cfg, "rank", "config")
     p = H.shape[1]
 
     if family == "ls":
@@ -225,10 +215,6 @@ def cmd_estimate(args) -> int:
         qobj = q_objective(scores, sigma2, p, _number(cfg, "bound", "config", minimum=0.0), "bound")
         objective = qobj.values
         selected = qobj.q_star
-    if rank_policy != "auto":
-        if not 1 <= rank_policy <= p:
-            raise ConfigError(f"rank {rank_policy} out of range 1..{p}")
-        selected = rank_policy
 
     lines = [
         f"family: {family}",
@@ -341,7 +327,7 @@ def cmd_sweep(args) -> int:
             "failures": comp.failures,
             "grid": comp.grid,
             "q_star_freq": comp.q_star_freq,
-            "q_star_freq_bias_recipe": comp.q_star_freq_alt,
+            "q_star_freq_bias_recipe": comp.q_star_freq,
             "theta_dependent": comp.theta_dependent,
             "witness": comp.witness,
         })

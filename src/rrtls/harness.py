@@ -26,8 +26,9 @@ verification suite reads, so it needs no per-trial rows.
 any sequence of error vectors into the same pass/fail report that ``run``
 attaches, ``compare_selection_rules`` evaluates the rank selection
 of the reduced TLS hypothesis across a grid of parameter norms on identical
-realizations, and ``search_norm_dependence_witness`` finds a synthetic
-score vector whose selected rank provably changes with the parameter norm.
+realizations, and ``search_norm_dependence_witness`` constructs, from the
+rank thresholds ``2 sigma2 (1 + t)``, a synthetic score vector whose
+selected rank provably changes with the parameter norm.
 """
 
 from __future__ import annotations
@@ -50,13 +51,12 @@ from .errors import InsufficientDataError, check_integer, check_real, finite_arr
 from .ls import _count_rank, risk_objective, select_rank_ls, tail_sums  # noqa: F401
 from .model import (
     MeasurementModel,
-    _aux_rng,
     sample_ls,
     sample_ls_block,
     sample_tls,
     sample_tls_block,
 )
-from .svdtools import check_orthonormal, order_by_scores, svd
+from .svdtools import order_by_scores, svd
 from .tls import (  # noqa: F401
     Q_MODES,
     _norm_grid,
@@ -80,10 +80,8 @@ FAMILIES = tuple(OBSERVATION_MODEL)
 MSE_RTOL = 0.03
 MEAN_RTOL = 0.01
 VAR_RTOL = 0.05
-# Fewest error vectors verify_chi_square accepts, and the most score
-# vectors search_norm_dependence_witness draws before giving up.
+# Fewest error vectors verify_chi_square accepts.
 MIN_SAMPLES = 10_000
-MAX_WITNESS_TRIES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +289,11 @@ class ExperimentResult:
 @dataclass
 class SelectionComparison:
     """Selected-rank distributions across a grid of parameter norms,
-    evaluated on identical realizations (paired by seed); the bias
-    recipe's ``q_star_freq_alt`` equals ``q_star_freq`` (one count)."""
+    evaluated on identical realizations (paired by seed); the bias recipe
+    selects the same ranks, so ``q_star_freq`` is its table too."""
 
     grid: np.ndarray
     q_star_freq: np.ndarray
-    q_star_freq_alt: np.ndarray
     theta_dependent: bool
     witness: Optional[Dict[str, float]]
     completed: int
@@ -315,7 +312,6 @@ class NormDependenceWitness:
     t2: float
     q1: int
     q2: int
-    tries: int
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +380,6 @@ def _eiv_kernel(spec: ExperimentSpec, start: int, stop: int):
                 for code, n in zip(*np.unique(codes[~solved], return_counts=True))}
     if failures:  # the whole-stack copies only when a row is dropped
         U, core = U[solved], core[solved]
-    check_orthonormal(U[..., :p])
     coef = (A[solved, None, :, p] @ U)[:, 0]
     scores = coef * coef
     order = np.argsort(-scores[:, :p], axis=1, kind="stable")
@@ -681,7 +676,6 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
     return SelectionComparison(
         grid=grid_arr,
         q_star_freq=freq,
-        q_star_freq_alt=freq.copy(),
         theta_dependent=witness is not None,
         witness=witness,
         completed=completed,
@@ -693,34 +687,40 @@ def search_norm_dependence_witness(
     p: int = 4,
     sigma2: float = 0.25,
     t_grid: Sequence[float] = (0.0, 1.0, 3.0, 10.0),
-    seed: int = 0,
 ) -> NormDependenceWitness:
-    """Search synthetic descending score vectors for one whose selected
-    rank differs between two grid values of the parameter norm.
+    """Construct a synthetic descending score vector whose selected rank
+    differs between two grid values of the parameter norm.
 
-    Deterministic given ``seed``; raises ``RuntimeError`` if no witness
-    appears within ``MAX_WITNESS_TRIES`` draws (with the default ranges a witness
-    is found almost immediately), and ``ValueError`` before the first draw
-    when none can exist or an input is invalid: ``sigma2`` is not finite and
-    positive (at 0 every threshold ``2 sigma2 (1 + t)`` is 0, so the rank
-    does not move), ``t_grid`` is not a sequence of finite values >= 0 or
-    holds fewer than two distinct values, ``p`` is not a positive integer
-    or ``seed`` not a non-negative one.
+    With ``t1 = t_grid[0]`` and ``t2`` the first grid value that differs
+    from it, the first two of the ``p + 1`` scores are ``sigma2 (2 + t1 +
+    t2)``, midway between the thresholds ``2 sigma2 (1 + t)`` of t1 and t2,
+    and the rest are 0: both clear the lower threshold and neither the
+    higher, so the rank is 2 at one value and 1 at the other.  The witness
+    is the :func:`tls.norm_dependence_certificate` witness of those scores,
+    so it pairs t1 with t2.
+
+    Raises ``ValueError`` before any work when no witness can exist or an
+    input is invalid: ``sigma2`` is not finite and positive (at 0 every
+    threshold is 0, so the rank does not move), ``t_grid`` is not a
+    sequence of finite values >= 0 or holds fewer than two distinct values,
+    the thresholds of t1 and t2 are too close for a float score to lie
+    strictly between them, ``p`` is not a positive integer, or ``p`` is 1
+    (one retained score selects rank 1 at every norm).
     """
-    check_real(sigma2, "sigma2", strict=True)
+    sigma2 = check_real(sigma2, "sigma2", strict=True)
     grid = _norm_grid(t_grid, "t_grid") if np.size(t_grid) else ()
     if len(set(grid)) < 2:
         raise ValueError(f"t_grid needs two distinct values for a witness to exist, got {t_grid!r}")
-    check_integer(p, "p", 1)
-    check_integer(seed, "seed", 0)
-    rng = _aux_rng(seed, 4)
-    for attempt in range(1, MAX_WITNESS_TRIES + 1):
-        scores = sigma2 * np.sort(rng.uniform(0.0, 12.0, size=p + 1))[::-1]
-        cert = norm_dependence_certificate(grid, scores, sigma2, p)
-        if not cert.is_constant:
-            t1, t2, q1, q2 = cert.witness
-            return NormDependenceWitness(
-                p=p, sigma2=sigma2, scores=scores,
-                t1=t1, t2=t2, q1=q1, q2=q2, tries=attempt,
-            )
-    raise RuntimeError(f"no norm-dependent instance found in {MAX_WITNESS_TRIES} tries")
+    t1, t2 = float(grid[0]), float(grid[np.argmax(grid != grid[0])])
+    lo, hi = sorted(2.0 * sigma2 * (1.0 + np.array([t1, t2])))
+    value = sigma2 * (2.0 + t1 + t2)
+    if not (lo < value <= hi and np.isfinite(value)):
+        raise ValueError(f"t_grid values {t1!r} and {t2!r} give thresholds 2 sigma2 (1 + t) "
+                         "that no finite score separates")
+    if check_integer(p, "p", 1) < 2:
+        raise ValueError(f"p must be at least 2 for a witness: one retained score selects "
+                         f"rank 1 at every norm, got {p!r}")
+    scores = np.zeros(p + 1)
+    scores[:2] = value
+    t1, t2, q1, q2 = norm_dependence_certificate(grid, scores, sigma2, p).witness
+    return NormDependenceWitness(p=p, sigma2=sigma2, scores=scores, t1=t1, t2=t2, q1=q1, q2=q2)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularModelError, check_real, finite_vector
+from .errors import SingularModelError, check_real, finite_array, finite_vector
 from .model import RANK_RTOL, MeasurementModel, _value_type
 from .svdtools import OrderedBasis, check_rank, svd
 
@@ -107,10 +107,11 @@ def tail_sums(scores: np.ndarray) -> np.ndarray:
 
 
 def _check_rule_inputs(scores, sigma2: float, theta_norm2: float = 0.0) -> None:
-    """Inputs of the public rank rules: squared-product scores are
-    nonnegative, and the noise variance and the squared parameter norm
-    follow ``errors.check_real`` (a NaN would silently select a rank)."""
-    if not np.all(np.asarray(scores) >= 0):
+    """Inputs of the public rank rules: squared-product scores are a
+    finite, nonnegative vector, and the noise variance and the squared
+    parameter norm follow ``errors.check_real`` (a NaN would silently
+    select a rank)."""
+    if not np.all(finite_array(scores, "scores", 1) >= 0):
         raise ValueError("scores are squared products and must be nonnegative")
     check_real(sigma2, "sigma2")
     check_real(theta_norm2, "theta_norm2")

@@ -66,27 +66,18 @@ def svd(M) -> SvdFactorization:
     return SvdFactorization(U=U * flip, S=S, V=V * flip)
 
 
-def check_orthonormal(U) -> None:
-    """Raise ``ValueError`` unless the columns of U, or of every matrix of
-    a (b, N, k) stack, are orthonormal to ``ORTHO_TOL``."""
-    gram = np.swapaxes(U, -1, -2) @ U
-    gram_err = np.max(np.abs(gram - np.eye(U.shape[-1])), initial=0.0)
-    if not gram_err <= ORTHO_TOL:  # a NaN entry fails too
-        raise ValueError(
-            f"columns of U are not orthonormal (max Gram deviation {gram_err:.3e})"
-        )
-
-
 def order_by_scores(U, y) -> OrderedBasis:
     """Sort orthonormal columns of U by descending squared product with y.
 
     Ties are broken by ascending original column index (stable sort).
+    Raises ``ValueError`` unless U is a finite matrix whose columns are
+    orthonormal to ``ORTHO_TOL`` and y holds one finite entry per row.
     """
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2:
-        raise ValueError(f"U must be a 2-D matrix, got shape {U.shape}")
+    U = finite_array(U, "U", 2)
     y = finite_vector(y, "y", U.shape[0])
-    check_orthonormal(U)
+    gram_err = np.max(np.abs(U.T @ U - np.eye(U.shape[1])), initial=0.0)
+    if not gram_err <= ORTHO_TOL:  # an overflowed (NaN) entry fails too
+        raise ValueError(f"columns of U are not orthonormal (max Gram deviation {gram_err:.3e})")
     proj = U.T @ y
     scores = proj * proj
     perm = np.argsort(-scores, kind="stable")

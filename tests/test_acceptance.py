@@ -62,6 +62,11 @@ def test_witness_is_stored_and_machine_checkable(report):
         assert int(np.argmin(values)) + 1 == doc[q_key]
 
 
+def test_witness_does_not_depend_on_the_seed():
+    # criterion 9 constructs its witness from the rank thresholds, drawing nothing
+    assert acceptance._criterion_9(0) == acceptance._criterion_9(20260808)
+
+
 def test_summary_files_parse(report):
     files = acceptance.summary_files(report)
     header, rows = parse_csv(files["acceptance.csv"])

@@ -115,9 +115,11 @@ def test_input_rules(case):
 
 
 def test_input_rules_have_one_home():
-    # the integer and real rules are written once, in errors.py; every other
-    # module calls check_integer or check_real instead of its own copy
+    # the integer, real and array-shape rules are written once, in errors.py;
+    # every other module calls check_integer, check_real or finite_array
+    # instead of its own copy
     package = Path(rrtls.__file__).parent
     copies = [path.name for path in sorted(package.glob("*.py"))
-              if path.name != "errors.py" and re.search(r"\b(Integral|Real)\b", path.read_text())]
+              if path.name != "errors.py"
+              and re.search(r"\b(Integral|Real)\b|\.ndim\s*!=", path.read_text())]
     assert copies == []

@@ -93,6 +93,16 @@ def test_estimate_strict_keys(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rank", ["auto", 1])
+def test_estimate_rejects_a_rank_key(identity_fixture, capsys, rank):
+    # the selected rank is always the rule's count: a fixed "rank" only
+    # relabelled it while theta_hat and x_hat stayed full-rank
+    with open(identity_fixture) as f:
+        cfg = {**json.load(f), "rank": rank}
+    assert main(["estimate", "--config", write_config(identity_fixture, cfg)]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
 def test_estimate_bound_only_for_tls(tmp_path, capsys):
     write_matrix(tmp_path / "H.txt", np.eye(2))
     write_matrix(tmp_path / "y.txt", np.ones(2))

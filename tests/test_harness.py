@@ -37,7 +37,10 @@ from rrtls import (
     tls_solve,
     verify_chi_square,
 )
+from rrtls.acceptance import _brute_force_q_star
 from rrtls.harness import VecStats
+from rrtls.model import sample_tls_block
+from rrtls.svdtools import ORTHO_TOL
 import rrtls.tls as tls_mod
 from rrtls.tls import tls_factor_stack
 
@@ -409,13 +412,39 @@ def test_noisy_selection_depends_on_norm():
 
 
 def test_witness_search_is_deterministic_and_verifiable():
-    a = search_norm_dependence_witness(p=4, sigma2=0.25, seed=33)
-    b = search_norm_dependence_witness(p=4, sigma2=0.25, seed=33)
+    a = search_norm_dependence_witness(p=4, sigma2=0.25)
+    b = search_norm_dependence_witness(p=4, sigma2=0.25)
     assert np.array_equal(a.scores, b.scores)
     assert (a.t1, a.t2, a.q1, a.q2) == (b.t1, b.t2, b.q1, b.q2)
     cert = norm_dependence_certificate([a.t1, a.t2], a.scores, a.sigma2, a.p)
     assert not cert.is_constant
     assert tuple(cert.q_stars) == (a.q1, a.q2)
+
+
+def test_witness_is_constructed_midway_between_the_first_two_thresholds():
+    # two scores at sigma2 (2 + t1 + t2) clear 2 sigma2 (1 + t1) = 0.5 and
+    # stay below 2 sigma2 (1 + t2) = 1.0
+    w = search_norm_dependence_witness()
+    assert w.scores.tolist() == [0.75, 0.75, 0.0, 0.0, 0.0]
+    assert (w.t1, w.t2, w.q1, w.q2) == (0.0, 1.0, 2, 1)
+    grid = (0.0, 1.0, 3.0, 10.0)
+    assert (w.t1, w.t2, w.q1, w.q2) == norm_dependence_certificate(grid, w.scores, w.sigma2, w.p).witness
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(2, 12),
+    sigma2=st.floats(1e-6, 1e6),
+    t_grid=st.lists(st.integers(0, 4096).map(lambda k: k / 8), min_size=2, max_size=6).filter(
+        lambda grid: len(set(grid)) > 1),
+)
+def test_witness_pairs_the_first_grid_value_with_the_first_that_differs(p, sigma2, t_grid):
+    w = search_norm_dependence_witness(p=p, sigma2=sigma2, t_grid=t_grid)
+    t2 = next(t for t in t_grid if t != t_grid[0])
+    assert (w.t1, w.t2) == (t_grid[0], t2) and {w.q1, w.q2} == {1, 2}
+    assert w.scores.shape == (p + 1,)
+    assert (_brute_force_q_star(w.scores, sigma2, p, w.t1),
+            _brute_force_q_star(w.scores, sigma2, p, w.t2)) == (w.q1, w.q2)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -430,20 +459,21 @@ def test_witness_search_is_deterministic_and_verifiable():
     ({"t_grid": (0.0, -1.0)}, "t_grid must be a non-empty sequence"),
     ({"t_grid": (0.0, float("nan"))}, "t_grid must be a non-empty sequence"),
     ({"t_grid": 2.0}, "t_grid must be a non-empty sequence"),
+    ({"t_grid": (0.0, 1e-17)}, r"thresholds 2 sigma2 \(1 \+ t\) that no finite score separates"),
     ({"p": 2.5}, "p must be a positive integer"),
     ({"p": 0}, "p must be a positive integer"),
-    ({"seed": True}, "seed must be a non-negative integer"),
-    ({"seed": -1}, "seed must be a non-negative integer"),
+    ({"p": 1}, "p must be at least 2 for a witness"),
 ], ids=["zero", "negative", "nan", "inf", "bool", "one", "repeated", "empty",
-        "t-negative", "t-nan", "t-scalar", "p-float", "p-zero", "seed-bool", "seed-negative"])
+        "t-negative", "t-nan", "t-scalar", "t-inseparable", "p-float", "p-zero", "p-one"])
 def test_witness_search_refuses_inputs_without_a_witness(monkeypatch, kwargs, message):
-    # with sigma2 = 0 every objective is the tail sum over (1 + t), and one
-    # grid value cannot disagree with itself: no draw could give a witness;
-    # an invalid grid, p or seed is named before the first draw too
+    # with sigma2 = 0 every threshold 2 sigma2 (1 + t) is 0, one grid value
+    # cannot disagree with itself, 1 + 1e-17 rounds to 1, and one retained
+    # score selects rank 1 at every norm: no scores give a witness, and
+    # neither does an invalid grid or p; each is named before any work
     def refuse(*args):
-        raise AssertionError("a score vector was drawn")
+        raise AssertionError("a certificate was evaluated")
 
-    monkeypatch.setattr(harness_mod, "_aux_rng", refuse)
+    monkeypatch.setattr(harness_mod, "norm_dependence_certificate", refuse)
     with pytest.raises(ValueError, match=message):
         search_norm_dependence_witness(**kwargs)
 
@@ -579,7 +609,7 @@ def test_selection_comparison_matches_per_trial_reference(monkeypatch):
     assert comp.completed == completed
     assert comp.failures == failures
     assert np.array_equal(comp.q_star_freq, counts / completed)
-    assert np.array_equal(comp.q_star_freq_alt, counts_alt / completed)
+    assert np.array_equal(comp.q_star_freq, counts_alt / completed)
     assert comp.witness == witness
 
 
@@ -780,6 +810,32 @@ def test_stacked_factor_codes_match_tls_solve_row_by_row():
     assert codes.tolist() == expected
 
 
+def _assert_orthonormal(U):
+    gram = np.swapaxes(U, -1, -2) @ U
+    assert np.max(np.abs(gram - np.eye(U.shape[-1]))) <= ORTHO_TOL
+
+
+@pytest.mark.parametrize("N, p, rows", [(256, 32, 7), (16, 4, 819)], ids=["tls-wide", "tls-grid"])
+def test_factor_stack_left_vectors_are_orthonormal(N, p, rows):
+    # the engine reads LAPACK's U unchecked; one chunk of each benchmark shape
+    theta = np.linspace(1.0, -0.5, p)
+    model = gaussian_model(N=N, p=p, theta=theta, sigma2=0.25, seed=3)
+    _assert_orthonormal(tls_factor_stack(sample_tls_block(model, 3, 0, rows))[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    shape=st.integers(1, 6).flatmap(lambda p: st.tuples(st.integers(1, 9), st.integers(p + 1, 40),
+                                                         st.just(p))),
+    scale=st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150]),
+)
+def test_factor_stack_left_vectors_are_orthonormal_property(seed, shape, scale):
+    b, N, p = shape
+    A = scale * np.random.default_rng(seed).standard_normal((b, N, p + 1))
+    _assert_orthonormal(tls_factor_stack(A)[0])
+
+
 def _solve_code(row):
     p = row.shape[1] - 1
     try:
@@ -965,7 +1021,7 @@ def _assert_grid_matches_reference(comp, spec, grid, solve):
     assert comp.completed == completed and comp.failures == failures
     if completed:
         assert np.array_equal(comp.q_star_freq, counts / completed)
-        assert np.array_equal(comp.q_star_freq_alt, counts_alt / completed)
+        assert np.array_equal(comp.q_star_freq, counts_alt / completed)
     assert comp.witness == witness and comp.theta_dependent == (witness is not None)
 
 

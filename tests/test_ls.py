@@ -357,7 +357,14 @@ _BAD_INPUTS = {
     "order-nan-y": (lambda: order_by_scores(np.eye(6)[:, :3], _y6(np.nan)), ValueError,
                     "y must be finite"),
     "order-nan-U": (lambda: order_by_scores(np.full((6, 3), np.nan), _y6()), ValueError,
-                    "columns of U are not orthonormal"),
+                    "U must be finite"),
+    "order-vector-U": (lambda: order_by_scores(np.ones(6), _y6()), ValueError,
+                       r"U must be a 2-D array, got shape \(6,\)"),
+    # a NaN score was reported as a negative one
+    "q_objective-nan-score": (lambda: q_objective([4.0, np.nan, 1.0], 0.1, 2, 1.0, "oracle"),
+                              ValueError, "scores must be finite"),
+    "q_objective-negative-score": (lambda: q_objective([4.0, -1.0, 1.0], 0.1, 2, 1.0, "oracle"),
+                                   ValueError, "scores are squared products and must be nonnegative"),
     "ls_reduced-inf-y": (lambda: ls_reduced(order_by_scores(np.eye(6)[:, :3], _y6()), _y6(np.inf), 2),
                          ValueError, "y must be finite"),
     "bias-nan-sigma2": (lambda: bias_estimate(order_by_scores(np.eye(6)[:, :3], _y6()), _y6(), 2,
