@@ -9,7 +9,11 @@ evaluates every rank arm of the observation model on the same realizations
 additive chunks as one (b, N) block of observations, errors-in-variables
 chunks as one (b, N, p + 1) block of augmented matrices factored and
 checked at once (``tls.tls_factor_stack``), with rejected trials counted
-per error code and dropped.  The blocks come from ``model``'s block
+per error code and dropped.  That factor never forms the left singular
+vectors: it reads each trial's singular values, right singular vectors and
+the coefficients of y and x from the SVD of its (p + 1)-by-(p + 1) Gram
+matrix, and gives the trials that route cannot decide safely the SVD of
+the augmented matrix itself.  The blocks come from ``model``'s block
 sampler; a stream guard draws trial 0 once through the per-trial
 ``sample_ls``/``sample_tls`` before a run's first block and raises
 ``RuntimeError`` unless the block's first row equals it bit for bit.
@@ -59,6 +63,7 @@ from .model import (
 from .svdtools import order_by_scores, svd
 from .tls import (  # noqa: F401
     Q_MODES,
+    StackFactor,
     _norm_grid,
     _tls_full_mse,
     augmented_scores,
@@ -364,27 +369,27 @@ def _eiv_kernel(spec: ExperimentSpec, start: int, stop: int):
     selection scores, as stacked arrays: draw, factor and check, order.
 
     Rejected trials are counted under their error code and dropped.  For
-    the solved trials, in trial order, returns ``(trials, U, core, coef,
-    order, scores, failures)``: their indices; the left singular vectors of
-    ``[H_tilde, y]`` (b, N, p + 1), retained columns first and the
-    discarded one last; the cores ``U_s' H_tilde``; the coefficients
-    ``U'y``; the stable descending order of the retained scores (b, p);
-    the augmented scores (b, p + 1), the ordered retained scores followed
-    by the discarded direction's; and the chunk's rejections per error code.
+    the solved trials, in trial order, returns ``(trials, factor, order,
+    scores, failures)``: their indices; their rows of
+    ``tls.tls_factor_stack``'s :class:`tls.StackFactor` (the coefficients
+    ``U'y`` and ``U'x`` on the left singular vectors of ``[H_tilde, y]``,
+    retained columns first and the discarded one last, the residual
+    ``|x - U_s U_s'x|^2`` and the cores ``U_s' H_tilde``); the stable
+    descending order of the retained scores (b, p); the augmented scores
+    (b, p + 1), the ordered retained scores followed by the discarded
+    direction's; and the chunk's rejections per error code.
     """
     p = spec.model.p
-    A = _sample_block(spec, start, stop)
-    U, core, codes = tls_factor_stack(A)
-    solved = codes == ""
+    factor = tls_factor_stack(_sample_block(spec, start, stop), spec.model.x)
+    solved = factor.codes == ""
     failures = {str(code): int(n)
-                for code, n in zip(*np.unique(codes[~solved], return_counts=True))}
+                for code, n in zip(*np.unique(factor.codes[~solved], return_counts=True))}
     if failures:  # the whole-stack copies only when a row is dropped
-        U, core = U[solved], core[solved]
-    coef = (A[solved, None, :, p] @ U)[:, 0]
-    scores = coef * coef
+        factor = StackFactor(*(field[solved] for field in factor))
+    scores = factor.coef * factor.coef
     order = np.argsort(-scores[:, :p], axis=1, kind="stable")
     scores[:, :p] = np.take_along_axis(scores[:, :p], order, axis=1)
-    return start + np.flatnonzero(solved), U, core, coef, order, scores, failures
+    return start + np.flatnonzero(solved), factor, order, scores, failures
 
 
 def _additive_chunk(spec: ExperimentSpec, U: np.ndarray, d: np.ndarray, resid: float,
@@ -418,22 +423,22 @@ def _eiv_chunk(spec: ExperimentSpec, start: int, stop: int):
     """Trials ``[start, stop)`` of the errors-in-variables model as stacked
     arrays (``_eiv_kernel``).  Returns the solved trials' rows and the
     rejections as ``_additive_chunk`` does, with the arms ``theory`` and
-    ``formula_full`` (all empty if none is solved),
-    from the coefficients of y and x on each trial's ordered retained
-    columns; the corrected signal is ``U_s (core theta)``."""
+    ``formula_full`` (all empty if none is solved), from the coefficients
+    of y and x on each trial's ordered retained columns; the corrected
+    signal ``U_s (core theta)`` misses x by
+    ``|core theta - U_s'x|^2 + |x - U_s U_s'x|^2``."""
     model = spec.model
-    p, x, sigma2 = model.p, model.x, model.sigma2
+    p, sigma2 = model.p, model.sigma2
     t_val = model.theta_norm2 if spec.tls_mode == "oracle" else float(spec.bound)
-    _, U, core, coef, order, scores, failures = _eiv_kernel(spec, start, stop)
-    Us = U[..., :p]
-    coef_x = x @ U
+    _, factor, order, scores, failures = _eiv_kernel(spec, start, stop)
+    coef_x = factor.coef_x
     d = np.take_along_axis(coef_x[:, :p], order, axis=1)
-    diff = np.take_along_axis(coef[:, :p], order, axis=1) - d
-    rho = x - (Us @ coef_x[:, :p, None])[..., 0]
-    sq = _rank_sq_errors(diff, d, np.sum(rho * rho, axis=1)[:, None])
+    diff = np.take_along_axis(factor.coef[:, :p], order, axis=1) - d
+    sq = _rank_sq_errors(diff, d, factor.resid[:, None])
     d_aug = np.concatenate([d, coef_x[:, p:]], axis=1)
     theory = tail_sums(d_aug * d_aug)[:, :p] + np.arange(1, p + 1) * sigma2
-    formula = _tls_full_mse(model, (Us @ (core @ model.theta)[..., None])[..., 0])
+    miss = factor.core @ model.theta - coef_x[:, :p]
+    formula = _tls_full_mse(model, np.sum(miss * miss, axis=1) + factor.resid)
     q_index = _count_rank(scores[:, :p], 2.0 * sigma2 * (1.0 + t_val)) - 1
     return sq, q_index, {"theory": theory, "formula_full": formula}, failures
 
@@ -501,8 +506,9 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     chunk order on the calling thread, so a seed fixes every aggregate bit
     for bit.  Errors-in-variables chunks after the first are evaluated by
     one worker thread per usable CPU (``os.sched_getaffinity``, capped by
-    the chunks after the first), as their stacked SVDs and draws run
-    outside the GIL, while the calling thread only merges their results in
+    the chunks after the first), as their draws and stacked factorizations
+    (Gram matrices and their SVDs, ``tls.tls_factor_stack``) run outside
+    the GIL, while the calling thread only merges their results in
     chunk order (``_chunk_map``); the bytes do not depend on the lane
     count.  Additive chunks run on the calling thread alone: on
     lanes they lost 13% trials/s and cost 17% more CPU at N=16, p=4.  No
@@ -634,9 +640,11 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
     oracle one.
     Flags theta dependence when any realization selects different ranks at
     two grid points: the witness is the first such trial, in trial order,
-    with the :func:`tls.norm_dependence_certificate` witness of its
-    scores.  The sigma2 = 0 case is provably grid-invariant (the
-    objective is then a positive multiple of a norm-free tail sum).
+    with the first grid value and the first one whose rank differs from it,
+    read from that trial's ranks: the pair
+    :func:`tls.norm_dependence_certificate` gives for its scores.  The
+    sigma2 = 0 case is provably grid-invariant (the objective is then a
+    positive multiple of a norm-free tail sum).
     """
     if spec.family != "rrtls":
         raise ValueError(f"selection-rule comparison requires family 'rrtls', got {spec.family!r}")
@@ -653,22 +661,23 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
     threshold = 2.0 * model.sigma2 * (1.0 + grid_arr[:, None])
 
     def chunk(start, stop):
-        trials, *_, scores, rejected = _eiv_kernel(spec, start, stop)
+        trials, _, _, scores, rejected = _eiv_kernel(spec, start, stop)
         # (G, b) selected rank indices: every grid value on every trial
         q_index = _count_rank(scores[:, :p], threshold) - 1
-        return trials, scores, q_index, rejected
+        return trials, q_index, rejected
 
     def merge(result):
         nonlocal counts, witness
-        trials, scores, q_index, rejected = result
+        trials, q_index, rejected = result
         counts += _rank_tally(q_index, p)
         failures.update(rejected)
         if witness is None:
             movers = np.flatnonzero((q_index != q_index[0]).any(axis=0))
             if movers.size:
-                cert = norm_dependence_certificate(grid_arr, scores[movers[0]], model.sigma2, p)
-                witness = {"trial": int(trials[movers[0]]),
-                           **dict(zip(("t1", "t2", "q1", "q2"), cert.witness))}
+                q = q_index[:, movers[0]] + 1
+                i = int(np.argmax(q != q[0]))
+                witness = {"trial": int(trials[movers[0]]), "t1": float(grid_arr[0]),
+                           "t2": float(grid_arr[i]), "q1": int(q[0]), "q2": int(q[i])}
 
     _chunk_map(chunk, spec.trials, _chunk_rows(model.N * (p + 1)), merge, _usable_cpus())
     completed = spec.trials - sum(failures.values())

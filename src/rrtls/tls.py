@@ -20,7 +20,7 @@ rule exists.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,13 @@ DEGENERACY_RTOL = 1e-12
 # Factor by which the bound on the core's smallest singular value must clear
 # the degeneracy threshold to decide a problem without the core's own SVD.
 DEGENERACY_SCREEN = 1e3
+# The Gram route of ``tls_factor_stack`` (``_gram_decided``): the smallest
+# singular value must be at least GRAM_SCREEN times the largest, the
+# largest within a factor GRAM_RANGE of 1, and the gap must clear its
+# threshold by GAP_SCREEN.
+GRAM_SCREEN = 1e-2
+GRAM_RANGE = 1e100
+GAP_SCREEN = 1e3
 
 Q_MODES = ("oracle", "bound")
 
@@ -114,7 +121,9 @@ def _rejection_codes(S, v, core) -> np.ndarray:
     whose bound ``S_p |v|`` exceeds ``DEGENERACY_SCREEN`` times the
     threshold ``DEGENERACY_RTOL * max(S_1, 1)`` is nonsingular; only the
     others are decided by the SVD of the core itself, so every code equals
-    that of the exact rule.
+    that of the exact rule.  :func:`tls_solve` calls it on the SVD of its
+    one problem, :func:`tls_factor_stack` on the SVDs of the stacked
+    problems its Gram route leaves undecided.
     """
     p = S.shape[-1] - 1
     nonunique = S[..., p - 1] - S[..., p] <= GAP_RTOL * S[..., 0]
@@ -191,27 +200,119 @@ def tls_solve(H_tilde, y) -> TlsEstimate:
     )
 
 
-def tls_factor_stack(A):
-    """Factor and check a stack of TLS problems at once.
+class StackFactor(NamedTuple):
+    """What the Monte Carlo engine reads of each problem of a stack
+    (:func:`tls_factor_stack`), with ``U`` the thin left singular vectors
+    of its augmented matrix ``A = [H_tilde, y]``, retained columns first and
+    the discarded one last, in no sign convention (every consumer is sign
+    invariant): ``coef`` the coefficients ``U'y`` and ``coef_x`` the
+    coefficients ``U'x`` of the signal (b, p + 1); ``resid`` the
+    out-of-span energy ``|x - U_s U_s'x|^2`` (b,); ``core`` the cores
+    ``U_s' H_tilde`` (b, p, p); ``codes`` the code of the error
+    :func:`tls_solve` raises on the problem, ``""`` for a solved one; and
+    ``gram`` whether the Gram route decided it."""
 
-    ``A`` (b, N, p + 1) stacks the augmented matrices ``[H_tilde, y]``.
-    Returns ``(U, core, codes)``: the thin left singular vectors of each
-    matrix (b, N, p + 1), retained columns first and the discarded one
-    last, with no sign convention (every consumer is sign invariant); the
-    cores ``U_s' H_tilde`` (b, p, p); and per row the code of the error
-    :func:`tls_solve` raises on that problem, ``""`` for a solved row.
-    Both share :func:`_rejection_codes`: one SVD per problem, plus the SVD of
-    the core only for the rows whose right singular vectors leave its
-    degeneracy undecided.
+    coef: np.ndarray
+    coef_x: np.ndarray
+    resid: np.ndarray
+    core: np.ndarray
+    codes: np.ndarray
+    gram: np.ndarray
+
+
+def tls_factor_stack(A, x) -> StackFactor:
+    """Factor and check a stack of TLS problems at once, without forming
+    the left singular vectors ``U``.
+
+    ``A`` (b, N, p + 1) stacks the augmented matrices ``[H_tilde, y]`` and
+    ``x`` (N,) is the signal their ``U'x`` and residual refer to.  Every
+    problem is first factored through its Gram matrix ``G = A'A``: the SVD
+    ``G = V diag(S^2) V'`` gives ``S`` and ``V``, so ``U = A V / S`` is
+    never needed, since ``U'y = S V[p, :]`` (y is the last column of A),
+    the core is ``diag(S_1..S_p)`` times the leading p-by-p block of
+    ``V'``, and ``U'x = S V'w`` with ``w`` the least-squares solution of x
+    on A, solved from G and given one step of iterative refinement; the
+    residual is ``|x - A w|^2 + (u_{p+1}'x)^2``, a sum of squares.
+
+    The Gram matrix squares the condition number, so the route decides only
+    the problems whose answer it cannot get wrong (``_gram_decided``): the
+    others, among them every rejected problem, take the SVD of ``A``
+    itself and :func:`_rejection_codes`, as :func:`tls_solve` does, so
+    every code equals the one ``tls_solve`` raises.
     """
     A = finite_array(A, "A", 3)
     if A.shape[1] < A.shape[2]:
         raise ValueError(f"expected a (b, N, p + 1) stack with N >= p + 1, got shape {A.shape}")
+    x = finite_vector(x, "x", A.shape[1])
+    p = A.shape[2] - 1
+    G = np.swapaxes(A, 1, 2) @ A
+    finite = np.isfinite(G).all(axis=(1, 2))
+    G[~finite] = 0.0  # overflowed; decided by the SVD of A below
+    _, lam, Vt = np.linalg.svd(G)
+    gram = finite & _gram_decided(np.sqrt(lam), Vt[:, p, p])
+    if gram.all():  # the common case, with no copy of A
+        return StackFactor(*_gram_route(A, x, lam, Vt), gram)
+    merged = []
+    for fast, slow in zip(_gram_route(A[gram], x, lam[gram], Vt[gram]), _svd_route(A[~gram], x)):
+        field = np.empty(gram.shape + slow.shape[1:], dtype=slow.dtype)
+        field[gram], field[~gram] = fast, slow
+        merged.append(field)
+    return StackFactor(*merged, gram)
+
+
+def _gram_decided(S, v) -> np.ndarray:
+    """Whether the Gram route decides each problem: singular values ``S``
+    (b, p + 1) from the SVD of ``G = A'A`` and ``v`` (b,) the last component
+    of its discarded right singular vector.
+
+    Forming G costs the small singular values accuracy: ``S_j`` carries an
+    error of about ``eps S_1^2 / S_j``.  So a problem is decided here only
+    when ``S_{p+1}`` is at least ``GRAM_SCREEN`` times ``S_1``, ``S_1``
+    lies within ``GRAM_RANGE`` of 1 (G squares the scale, and a squared
+    residual or coefficient would near the float range), and both rejection
+    checks of :func:`_rejection_codes` pass with a margin: the gap by
+    ``GAP_SCREEN`` times its threshold, the core's bound ``S_p |v|`` by
+    ``DEGENERACY_SCREEN`` times its threshold.  Each of those problems is
+    solved, so its code is ``""``.
+    """
+    p = S.shape[1] - 1
+    top = S[:, 0]
+    return ((S[:, p] >= GRAM_SCREEN * top)
+            & (1.0 / GRAM_RANGE <= top) & (top <= GRAM_RANGE)
+            & (S[:, p - 1] - S[:, p] > GAP_SCREEN * GAP_RTOL * top)
+            & (S[:, p - 1] * np.abs(v) > DEGENERACY_SCREEN * DEGENERACY_RTOL * np.maximum(top, 1.0)))
+
+
+def _gram_route(A, x, lam, Vt):
+    # StackFactor's fields up to ``gram`` for problems _gram_decided
+    # accepts, from the SVDs G = V diag(lam) V' of their Gram matrices.
+    p = A.shape[2] - 1
+    S = np.sqrt(lam)
+    At = np.swapaxes(A, 1, 2)
+    V = np.swapaxes(Vt, 1, 2)
+
+    def ls_solution(r):
+        # least-squares solution of r (N,) or (b, N) on A, as (b, p + 1, 1)
+        return V @ ((Vt @ (At @ r[..., None])) / lam[..., None])
+
+    w = ls_solution(x)
+    w += ls_solution(x - (A @ w)[..., 0])  # one step of iterative refinement
+    r = x - (A @ w)[..., 0]
+    coef_x = S * (Vt @ w)[..., 0]
+    resid = np.sum(r * r, axis=1) + coef_x[:, p] * coef_x[:, p]
+    return S * Vt[:, :, p], coef_x, resid, S[:, :p, None] * Vt[:, :p, :p], np.full(A.shape[0], "")
+
+
+def _svd_route(A, x):
+    # StackFactor's fields up to ``gram`` for any problems, from the SVDs
+    # of A itself.
     p = A.shape[2] - 1
     U, S, Vt = np.linalg.svd(A, full_matrices=False)
     core = np.swapaxes(U[..., :p], 1, 2) @ A[..., :p]
-    codes = _rejection_codes(S, Vt[:, p, p], core)
-    return U, core, codes
+    coef_x = x @ U
+    rho = x - (U[..., :p] @ coef_x[:, :p, None])[..., 0]
+    return ((A[:, None, :, p] @ U)[:, 0], coef_x, np.sum(rho * rho, axis=1), core,
+            _rejection_codes(S, Vt[:, p, p], core))
 
 
 def tls_objective(theta, H_tilde, y) -> float:
@@ -238,13 +339,14 @@ def mse_theoretical_tls_full(model: MeasurementModel, estimate: TlsEstimate) -> 
     Monte Carlo mean squared error is therefore only approximate (the
     harness reports both).
     """
-    return float(_tls_full_mse(model, estimate.H_corrected @ model.theta))
+    d = estimate.H_corrected @ model.theta - model.x
+    return float(_tls_full_mse(model, np.sum(d * d)))
 
 
-def _tls_full_mse(model: MeasurementModel, corrected_signal) -> np.ndarray:
-    # mse_theoretical_tls_full along the last axis of H_corrected @ theta.
-    d = corrected_signal - model.x
-    return np.sum(d * d, axis=-1) + model.sigma2 * (1.0 + model.theta_norm2) * model.p
+def _tls_full_mse(model: MeasurementModel, mismatch) -> np.ndarray:
+    # mse_theoretical_tls_full from the squared corrected-signal mismatch
+    # |H_corrected theta - x|^2, elementwise.
+    return mismatch + model.sigma2 * (1.0 + model.theta_norm2) * model.p
 
 
 def augmented_scores(basis: OrderedBasis, u_s, y) -> np.ndarray:

@@ -188,12 +188,12 @@ def test_spec_rejects_settings_it_would_ignore(family, tls_mode, bound, message)
 def test_failures_are_counted_not_imputed(monkeypatch):
     real_factor = harness_mod.tls_factor_stack
 
-    def flaky_factor(A):
+    def flaky_factor(A, x):
         # deterministic failure injection: the error path is measure-zero
         # under generic sampling, so force it for odd-sum observations
-        U, core, codes = real_factor(A)
+        factor = real_factor(A, x)
         injected = np.floor(np.abs(A[:, 0, -1]) * 1e6) % 2 == 1
-        return U, core, np.where(injected, NonUniqueTlsError.code, codes)
+        return factor._replace(codes=np.where(injected, NonUniqueTlsError.code, factor.codes))
 
     monkeypatch.setattr(harness_mod, "tls_factor_stack", flaky_factor)
     spec = ExperimentSpec(model=tls_model(), family="tls", trials=100, seed=35)
@@ -207,9 +207,9 @@ def test_failures_are_counted_not_imputed(monkeypatch):
 def test_kept_rows_keep_their_shape_when_every_trial_is_rejected(monkeypatch):
     factor = harness_mod.tls_factor_stack
 
-    def reject_all(A):
-        U, core, codes = factor(A)
-        return U, core, np.full(codes.shape, NonUniqueTlsError.code)
+    def reject_all(A, x):
+        result = factor(A, x)
+        return result._replace(codes=np.full(result.codes.shape, NonUniqueTlsError.code))
 
     monkeypatch.setattr(harness_mod, "tls_factor_stack", reject_all)
     rows = _spy_sq_rows(monkeypatch)
@@ -411,6 +411,25 @@ def test_noisy_selection_depends_on_norm():
     assert w["t1"] == 0.0 and w["t2"] == 30.0
 
 
+@pytest.mark.parametrize("grid", [[0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 30.0], [0.5, 0.5, 0.0, 30.0]],
+                         ids=["bench-grid", "repeated-first-value"])
+def test_comparison_witness_is_the_certificate_witness_of_its_trial(grid):
+    # the witness is read from the trial's row of selected ranks; the
+    # certificate of that trial's per-trial scores gives the same pair
+    model = gaussian_model(N=16, p=4, theta=[1.0, -0.5, 0.25, 2.0], sigma2=0.25, seed=3)
+    comp = compare_selection_rules(ExperimentSpec(model=model, family="rrtls", trials=512, seed=3),
+                                   grid)
+    w = comp.witness
+    real = sample_tls(model, 3, w["trial"])
+    est = tls_solve(real.H_tilde, real.y)
+    basis = order_by_scores(est.retained_columns, real.y)
+    scores = augmented_scores(basis, est.discarded_column, real.y)
+    cert = norm_dependence_certificate(grid, scores, model.sigma2, model.p)
+    assert [(k, type(v)) for k, v in w.items()] == [
+        ("trial", int), ("t1", float), ("t2", float), ("q1", int), ("q2", int)]
+    assert (w["t1"], w["t2"], w["q1"], w["q2"]) == cert.witness
+
+
 def test_witness_search_is_deterministic_and_verifiable():
     a = search_norm_dependence_witness(p=4, sigma2=0.25)
     b = search_norm_dependence_witness(p=4, sigma2=0.25)
@@ -545,10 +564,10 @@ def _flaky(solve):
 def _inject_flaky_stack(monkeypatch):
     factor = harness_mod.tls_factor_stack
 
-    def flaky_factor(A):
-        U, core, codes = factor(A)
+    def flaky_factor(A, x):
+        result = factor(A, x)
         injected = np.floor(np.abs(A[:, 0, -1]) * 1e6) % 5 == 0
-        return U, core, np.where(injected, NonUniqueTlsError.code, codes)
+        return result._replace(codes=np.where(injected, NonUniqueTlsError.code, result.codes))
 
     monkeypatch.setattr(harness_mod, "tls_factor_stack", flaky_factor)
     return _flaky(tls_solve)
@@ -790,37 +809,54 @@ def _tls_rows():
     return np.array(rows[:2] + [tie, singular_core] + rows[2:] + [both])
 
 
-def test_stacked_factor_codes_match_tls_solve_row_by_row():
-    A = _tls_rows()
-    U, core, codes = tls_factor_stack(A)
-    expected = []
+def _assert_factor_matches_solve(A, x, factor, tol):
+    """The factor's codes equal per-trial tls_solve's row by row, and each
+    solved row's U'y, U'x, residual |x - U_s U_s'x|^2 and core U_s' H_tilde
+    equal those from tls_solve's SVD within tol times their scale (S_1 for
+    U'y and the core, |x| for U'x, |x|^2 for the residual), each column of
+    U up to its sign."""
+    p = A.shape[2] - 1
+    codes = []
     for i, row in enumerate(A):
         try:
-            est = tls_solve(row[:, :2], row[:, 2])
+            est = tls_solve(row[:, :p], row[:, p])
         except RrtlsError as err:
-            expected.append(err.code)
+            codes.append(err.code)
             continue
-        expected.append("")
-        # same retained span and corrected matrix as the per-trial solve
-        Us = U[i, :, :2]
-        np.testing.assert_allclose(Us @ Us.T, est.retained_columns @ est.retained_columns.T,
-                                   atol=1e-12)
-        np.testing.assert_allclose(Us @ core[i], est.H_corrected, atol=1e-12)
-    assert expected == ["", "", "nonunique-tls", "degenerate-solution", "", "nonunique-tls"]
-    assert codes.tolist() == expected
+        codes.append("")
+        U, top, size = est.augmented_svd.U, est.augmented_svd.S[0], float(np.linalg.norm(x))
+        coef, coef_x, core = row[:, p] @ U, x @ U, U[:, :p].T @ row[:, :p]
+        rho = x - U[:, :p] @ coef_x[:p]
+        agree = factor.coef[i] * coef + factor.coef_x[i] * coef_x
+        agree[:p] += np.sum(factor.core[i] * core, axis=1)
+        sign = np.where(agree < 0, -1.0, 1.0)
+        np.testing.assert_allclose(sign * factor.coef[i], coef, rtol=0, atol=tol * top)
+        np.testing.assert_allclose(sign * factor.coef_x[i], coef_x, rtol=0, atol=tol * size)
+        np.testing.assert_allclose(sign[:p, None] * factor.core[i], core, rtol=0, atol=tol * top)
+        np.testing.assert_allclose(factor.resid[i], rho @ rho, rtol=0, atol=tol * size**2)
+    assert factor.codes.tolist() == codes
+    return codes
 
 
-def _assert_orthonormal(U):
-    gram = np.swapaxes(U, -1, -2) @ U
-    assert np.max(np.abs(gram - np.eye(U.shape[-1]))) <= ORTHO_TOL
+def test_stacked_factor_codes_match_tls_solve_row_by_row():
+    A = _tls_rows()
+    x = np.random.default_rng(62).standard_normal(A.shape[1])
+    factor = tls_factor_stack(A, x)
+    codes = _assert_factor_matches_solve(A, x, factor, 1e-12)
+    assert codes == ["", "", "nonunique-tls", "degenerate-solution", "", "nonunique-tls"]
+    # the generic rows take the Gram route, the rejected ones the SVD of A
+    assert factor.gram.tolist() == [code == "" for code in codes]
 
 
 @pytest.mark.parametrize("N, p, rows", [(256, 32, 7), (16, 4, 819)], ids=["tls-wide", "tls-grid"])
-def test_factor_stack_left_vectors_are_orthonormal(N, p, rows):
-    # the engine reads LAPACK's U unchecked; one chunk of each benchmark shape
+def test_factor_stack_matches_tls_solve_on_a_benchmark_chunk(N, p, rows):
+    # one chunk of each benchmark shape, every row on the Gram route
     theta = np.linspace(1.0, -0.5, p)
     model = gaussian_model(N=N, p=p, theta=theta, sigma2=0.25, seed=3)
-    _assert_orthonormal(tls_factor_stack(sample_tls_block(model, 3, 0, rows))[0])
+    A = sample_tls_block(model, 3, 0, rows)
+    factor = tls_factor_stack(A, model.x)
+    assert factor.gram.all()
+    _assert_factor_matches_solve(A, model.x, factor, ORTHO_TOL)
 
 
 @settings(max_examples=30, deadline=None)
@@ -830,10 +866,28 @@ def test_factor_stack_left_vectors_are_orthonormal(N, p, rows):
                                                          st.just(p))),
     scale=st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150]),
 )
-def test_factor_stack_left_vectors_are_orthonormal_property(seed, shape, scale):
+def test_factor_stack_matches_tls_solve_property(seed, shape, scale):
     b, N, p = shape
-    A = scale * np.random.default_rng(seed).standard_normal((b, N, p + 1))
-    _assert_orthonormal(tls_factor_stack(A)[0])
+    rng = np.random.default_rng(seed)
+    A = scale * rng.standard_normal((b, N, p + 1))
+    x = scale * rng.standard_normal(N)
+    factor = tls_factor_stack(A, x)
+    if scale in (1e-150, 1e150):  # the Gram matrix would square the scale past 1e+-300
+        assert not factor.gram.any()
+    _assert_factor_matches_solve(A, x, factor, ORTHO_TOL)
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 1e-6], ids=["noiseless", "near-noiseless"])
+def test_near_noiseless_chunks_take_the_svd_of_A(sigma2):
+    # criterion 7's noiseless 20x5 draws and criterion 5's noise level on
+    # its planted model: S_{p+1} / S_1 falls below the Gram screen
+    models = [gaussian_model(N=20, p=5, theta=[1.0, -0.5, 0.25, 2.0, 0.5], sigma2=sigma2, seed=81),
+              planted_model(N=16, coefficients=[2.0, 1.0, 0.0, 0.0], sigma2=sigma2, seed=82)]
+    for model in models:
+        A = sample_tls_block(model, 83, 0, 64)
+        factor = tls_factor_stack(A, model.x)
+        assert not factor.gram.any()
+        assert factor.codes.tolist() == [_solve_code(row) for row in A]
 
 
 def _solve_code(row):
@@ -861,9 +915,11 @@ def _check_screen(A):
     """The stacked codes equal per-trial tls_solve's and the unscreened
     rule's (the SVD of every core), and the bound the screen reads holds:
     sigma_min(core) >= S_p |Vt[p, p]| and sigma_max(core) <= S_1 up to
-    rounding.  Returns, per row, whether the bound alone decided it."""
+    rounding.  Returns, per row, whether the bound alone decided it and
+    whether the Gram route did."""
     p = A.shape[2] - 1
-    _, core, codes = tls_factor_stack(A)
+    factor = tls_factor_stack(A, np.ones(A.shape[1]))
+    core, codes = factor.core, factor.codes
     _, S, Vt = np.linalg.svd(A, full_matrices=False)
     core_svals = np.linalg.svd(core, compute_uv=False)
     nonunique = S[:, p - 1] - S[:, p] <= tls_mod.GAP_RTOL * S[:, 0]
@@ -874,7 +930,7 @@ def _check_screen(A):
     assert np.all(core_svals[:, -1] >= bound - 1e-14 * S[:, 0])
     assert np.all(core_svals[:, 0] <= S[:, 0] * (1.0 + 1e-14))
     return bound > (tls_mod.DEGENERACY_SCREEN * tls_mod.DEGENERACY_RTOL
-                    * np.maximum(S[:, 0], 1.0))
+                    * np.maximum(S[:, 0], 1.0)), factor.gram
 
 
 def test_screen_decides_rows_on_both_sides_of_the_degeneracy_threshold():
@@ -883,10 +939,11 @@ def test_screen_decides_rows_on_both_sides_of_the_degeneracy_threshold():
     # DEGENERACY_RTOL
     exponents = np.concatenate([np.linspace(-15.0, -6.0, 37), np.full(8, np.inf)])
     A = _near_singular_core_stack(71, 9, 3, exponents)
-    screened = _check_screen(A)
-    codes = tls_factor_stack(A)[2]
+    screened, gram = _check_screen(A)
+    codes = np.array([_solve_code(row) for row in A])
     assert screened.any()
     assert {"", "degenerate-solution"} <= set(codes[~screened].tolist())
+    assert not gram[np.isfinite(exponents)].any()  # a scaled column takes the SVD of A
 
 
 @settings(max_examples=30, deadline=None)
@@ -898,7 +955,8 @@ def test_screen_decides_rows_on_both_sides_of_the_degeneracy_threshold():
 )
 def test_screened_codes_match_tls_solve_property(seed, shape, exponents):
     N, p = shape
-    _check_screen(_near_singular_core_stack(seed, N, p, exponents))
+    _, gram = _check_screen(_near_singular_core_stack(seed, N, p, exponents))
+    assert not gram[np.isfinite(exponents)].any()
 
 
 def _spy_core_svds(monkeypatch):
@@ -927,7 +985,8 @@ def test_generic_run_makes_no_core_svd(monkeypatch):
 def test_singular_cores_take_the_core_svd(monkeypatch):
     A = _tls_rows()
     calls = _spy_core_svds(monkeypatch)
-    _, core, codes = tls_factor_stack(A)
+    factor = tls_factor_stack(A, np.ones(A.shape[1]))
+    core, codes = factor.core, factor.codes
     checked = np.concatenate(calls)
     assert codes.tolist() == ["", "", "nonunique-tls", "degenerate-solution", "", "nonunique-tls"]
 
