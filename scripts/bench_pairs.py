@@ -10,7 +10,8 @@ commit with ``--change``.  Each pair runs ``bench/run.py`` once from the
 root of each side, the side that runs first alternating between pairs so
 that drift in the host's speed falls on both alike.  The record holds the
 command, the machine, each side's ``env`` line, every run's metrics,
-whether it printed ``"correct": true``, and per workload the median and
+whether it printed ``"correct": true``, its ``artifact_sha256``, and per
+workload the distinct artifact hashes of each side, the median and
 quartiles of each end-to-end metric of ``BENCHMARK.json`` on each side,
 the parent's spread between quartiles, the median paired gain, and the
 number of pairs the change won.
@@ -61,11 +62,13 @@ def run_once(root: str, args, workload: str) -> dict:
     wall = time.perf_counter() - t0
     lines = proc.stdout.splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
+    sha = next((line.split()[1] for line in lines if line.startswith("artifact_sha256 ")), None)
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = None
-    run = {"wall_s": round(wall, 3), "returncode": proc.returncode, "env": env}
+    run = {"wall_s": round(wall, 3), "returncode": proc.returncode, "env": env,
+           "artifact_sha256": sha}
     if result is None:
         run["correct"] = False
         run["stderr_tail"] = proc.stderr[-2000:]
@@ -159,6 +162,9 @@ def main(argv=None) -> int:
             workloads[workload] = {
                 "correct_runs": {side: sum(p[side]["correct"] for p in pairs)
                                  for side in ("parent", "change")},
+                "artifact_sha256": {side: sorted({p[side]["artifact_sha256"] for p in pairs
+                                                  if p[side]["artifact_sha256"]})
+                                    for side in ("parent", "change")},
                 "summary": summarize(pairs, metrics) if args.trace == 0 else {},
                 "pairs": pairs,
             }
@@ -190,7 +196,8 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     for workload, data in workloads.items():
-        print(f"{workload}: correct runs {data['correct_runs']}")
+        print(f"{workload}: correct runs {data['correct_runs']}, artifact_sha256 "
+              f"{data['artifact_sha256']}")
         for name, s in data["summary"].items():
             print(f"  {name}: parent {s['parent_median']:.6g} {s['parent_quartiles']}, change "
                   f"{s['change_median']:.6g}, median gain {s['median_gain']:+.3%} (parent spread "

@@ -11,9 +11,12 @@ chunks as one (b, N, p + 1) block of augmented matrices factored and
 checked at once (``tls.tls_factor_stack``), with rejected trials counted
 per error code and dropped.  That factor never forms the left singular
 vectors: it reads each trial's singular values, right singular vectors and
-the coefficients of y and x from the SVD of its (p + 1)-by-(p + 1) Gram
-matrix, and gives the trials that route cannot decide safely the SVD of
-the augmented matrix itself.  The blocks come from ``model``'s block
+the coefficients of y (and, for ``run``, of x) from its (p + 1)-by-(p + 1)
+Gram matrix, factored by the symmetric eigensolver up to order 25 and by
+the SVD above it, where the eigensolver would start BLAS threads, and
+gives the trials that route cannot decide safely the SVD of the augmented
+matrix itself.  The grid report reads only the coefficients of y, so its
+chunks are factored without x.  The blocks come from ``model``'s block
 sampler; a stream guard draws trial 0 once through the per-trial
 ``sample_ls``/``sample_tls`` before a run's first block and raises
 ``RuntimeError`` unless the block's first row equals it bit for bit.
@@ -364,7 +367,7 @@ def _sample_block(spec: ExperimentSpec, start: int, stop: int) -> np.ndarray:
     return block
 
 
-def _eiv_kernel(spec: ExperimentSpec, start: int, stop: int):
+def _eiv_kernel(spec: ExperimentSpec, start: int, stop: int, x=None):
     """Trials ``[start, stop)`` of the errors-in-variables model up to the
     selection scores, as stacked arrays: draw, factor and check, order.
 
@@ -372,20 +375,22 @@ def _eiv_kernel(spec: ExperimentSpec, start: int, stop: int):
     the solved trials, in trial order, returns ``(trials, factor, order,
     scores, failures)``: their indices; their rows of
     ``tls.tls_factor_stack``'s :class:`tls.StackFactor` (the coefficients
-    ``U'y`` and ``U'x`` on the left singular vectors of ``[H_tilde, y]``,
-    retained columns first and the discarded one last, the residual
-    ``|x - U_s U_s'x|^2`` and the cores ``U_s' H_tilde``); the stable
+    ``U'y`` and, given the signal ``x``, ``U'x`` on the left singular
+    vectors of ``[H_tilde, y]``, retained columns first and the discarded
+    one last, the residual ``|x - U_s U_s'x|^2`` and the cores
+    ``U_s' H_tilde``; without ``x`` the fields of the signal are ``None``
+    and no least-squares solve is made); the stable
     descending order of the retained scores (b, p); the augmented scores
     (b, p + 1), the ordered retained scores followed by the discarded
     direction's; and the chunk's rejections per error code.
     """
     p = spec.model.p
-    factor = tls_factor_stack(_sample_block(spec, start, stop), spec.model.x)
+    factor = tls_factor_stack(_sample_block(spec, start, stop), x)
     solved = factor.codes == ""
     failures = {str(code): int(n)
                 for code, n in zip(*np.unique(factor.codes[~solved], return_counts=True))}
     if failures:  # the whole-stack copies only when a row is dropped
-        factor = StackFactor(*(field[solved] for field in factor))
+        factor = StackFactor(*(None if field is None else field[solved] for field in factor))
     scores = factor.coef * factor.coef
     order = np.argsort(-scores[:, :p], axis=1, kind="stable")
     scores[:, :p] = np.take_along_axis(scores[:, :p], order, axis=1)
@@ -430,7 +435,7 @@ def _eiv_chunk(spec: ExperimentSpec, start: int, stop: int):
     model = spec.model
     p, sigma2 = model.p, model.sigma2
     t_val = model.theta_norm2 if spec.tls_mode == "oracle" else float(spec.bound)
-    _, factor, order, scores, failures = _eiv_kernel(spec, start, stop)
+    _, factor, order, scores, failures = _eiv_kernel(spec, start, stop, model.x)
     coef_x = factor.coef_x
     d = np.take_along_axis(coef_x[:, :p], order, axis=1)
     diff = np.take_along_axis(factor.coef[:, :p], order, axis=1) - d
@@ -507,15 +512,15 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     for bit.  Errors-in-variables chunks after the first are evaluated by
     one worker thread per usable CPU (``os.sched_getaffinity``, capped by
     the chunks after the first), as their draws and stacked factorizations
-    (Gram matrices and their SVDs, ``tls.tls_factor_stack``) run outside
-    the GIL, while the calling thread only merges their results in
-    chunk order (``_chunk_map``); the bytes do not depend on the lane
-    count.  Additive chunks run on the calling thread alone: on
-    lanes they lost 13% trials/s and cost 17% more CPU at N=16, p=4.  No
-    per-trial rows are kept.  An Optional result field is set exactly when
-    its arm has a completed trial (the moment report of ``norm`` needs
-    two); the risk estimate minus ``sigma2 * r`` is ``ls.bias_estimate``'s
-    corrected statistic.
+    (Gram matrices and their eigendecompositions, or above order 25 their
+    SVDs, ``tls.tls_factor_stack``) run outside the GIL, while the calling
+    thread only merges their results in chunk order (``_chunk_map``); the
+    bytes do not depend on the lane count.  Additive chunks run on the
+    calling thread alone: on lanes they lost 13% trials/s and cost 17% more
+    CPU at N=16, p=4.  No per-trial rows are kept.  An Optional result
+    field is set exactly when its arm has a completed trial (the moment
+    report of ``norm`` needs two); the risk estimate minus ``sigma2 * r``
+    is ``ls.bias_estimate``'s corrected statistic.
 
     Per-trial estimator failures (e.g. TLS nonuniqueness) are counted per
     error code and excluded from the aggregates, never imputed.

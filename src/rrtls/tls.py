@@ -5,6 +5,12 @@ and is computed from the SVD of the augmented matrix ``A = [H_tilde, y]``:
 the direction of the smallest singular value is discarded, the retained
 columns ``U_s`` define the corrected system matrix and the signal estimate,
 and the parameter estimate solves the (consistent) corrected system.
+:func:`tls_solve` factors one problem that way.  The Monte Carlo engine's
+:func:`tls_factor_stack` reads the same quantities, without ``U``, from the
+(p + 1)-by-(p + 1) Gram matrix ``A'A`` of each stacked problem: through the
+symmetric eigensolver up to order 25, which starts no BLAS thread there,
+and through the SVD of the Gram matrix above it; problems the Gram matrix
+cannot decide safely take the SVD of ``A``.
 
 The rank-q machinery mirrors the least-squares case but its selection
 objective depends on the squared norm of the unknown parameter; the
@@ -42,6 +48,15 @@ DEGENERACY_SCREEN = 1e3
 GRAM_SCREEN = 1e-2
 GRAM_RANGE = 1e100
 GAP_SCREEN = 1e3
+# Largest order p + 1 of a Gram matrix factored by the symmetric eigensolver
+# (``np.linalg.eigh``, LAPACK dsyevd); larger ones take ``np.linalg.svd``.
+# Up to 25 (dstedc's SMLSIZ) dsyevd hands the tridiagonal problem to the
+# unblocked QL/QR dsteqr and starts no BLAS thread.  Above 25 it divides and
+# conquers through dgemm, and above 32 dsytrd switches to blocked dsyr2k;
+# OpenBLAS threads both, and threads started inside a lane oversubscribe
+# the CPUs (measured: CPU/wall 2.0 at p + 1 = 26 and 33), while the SVD of
+# a Gram matrix stays on one thread at every order.
+EIGH_MAX_ORDER = 25
 
 Q_MODES = ("oracle", "bound")
 
@@ -210,29 +225,35 @@ class StackFactor(NamedTuple):
     out-of-span energy ``|x - U_s U_s'x|^2`` (b,); ``core`` the cores
     ``U_s' H_tilde`` (b, p, p); ``codes`` the code of the error
     :func:`tls_solve` raises on the problem, ``""`` for a solved one; and
-    ``gram`` whether the Gram route decided it."""
+    ``gram`` whether the Gram route decided it.  ``coef_x`` and ``resid``
+    are ``None`` when the stack was factored without a signal."""
 
     coef: np.ndarray
-    coef_x: np.ndarray
-    resid: np.ndarray
+    coef_x: Optional[np.ndarray]
+    resid: Optional[np.ndarray]
     core: np.ndarray
     codes: np.ndarray
     gram: np.ndarray
 
 
-def tls_factor_stack(A, x) -> StackFactor:
+def tls_factor_stack(A, x=None) -> StackFactor:
     """Factor and check a stack of TLS problems at once, without forming
     the left singular vectors ``U``.
 
     ``A`` (b, N, p + 1) stacks the augmented matrices ``[H_tilde, y]`` and
-    ``x`` (N,) is the signal their ``U'x`` and residual refer to.  Every
-    problem is first factored through its Gram matrix ``G = A'A``: the SVD
-    ``G = V diag(S^2) V'`` gives ``S`` and ``V``, so ``U = A V / S`` is
-    never needed, since ``U'y = S V[p, :]`` (y is the last column of A),
-    the core is ``diag(S_1..S_p)`` times the leading p-by-p block of
-    ``V'``, and ``U'x = S V'w`` with ``w`` the least-squares solution of x
-    on A, solved from G and given one step of iterative refinement; the
-    residual is ``|x - A w|^2 + (u_{p+1}'x)^2``, a sum of squares.
+    ``x`` (N,) is the signal their ``U'x`` and residual refer to; without
+    it (``None``) those two fields are ``None`` and no least-squares solve
+    is made.  Every problem is first factored through its Gram matrix
+    ``G = A'A``: the factorization ``G = V diag(S^2) V'`` gives ``S`` and
+    ``V``, so ``U = A V / S`` is never needed, since ``U'y = S V[p, :]``
+    (y is the last column of A), the core is ``diag(S_1..S_p)`` times the
+    leading p-by-p block of ``V'``, and ``U'x = S V'w`` with ``w`` the
+    least-squares solution of x on A, solved from G and given one step of
+    iterative refinement; the residual is ``|x - A w|^2 +
+    (u_{p+1}'x)^2``, a sum of squares.  G is factored by the symmetric
+    eigensolver up to order ``EIGH_MAX_ORDER`` (25), where it is about
+    twice as fast as the SVD of G and starts no BLAS thread, and by the
+    SVD of G above it, where the eigensolver would start BLAS threads.
 
     The Gram matrix squares the condition number, so the route decides only
     the problems whose answer it cannot get wrong (``_gram_decided``): the
@@ -243,17 +264,28 @@ def tls_factor_stack(A, x) -> StackFactor:
     A = finite_array(A, "A", 3)
     if A.shape[1] < A.shape[2]:
         raise ValueError(f"expected a (b, N, p + 1) stack with N >= p + 1, got shape {A.shape}")
-    x = finite_vector(x, "x", A.shape[1])
+    if x is not None:
+        x = finite_vector(x, "x", A.shape[1])
     p = A.shape[2] - 1
     G = np.swapaxes(A, 1, 2) @ A
     finite = np.isfinite(G).all(axis=(1, 2))
     G[~finite] = 0.0  # overflowed; decided by the SVD of A below
-    _, lam, Vt = np.linalg.svd(G)
+    if p + 1 <= EIGH_MAX_ORDER:
+        lam, V = np.linalg.eigh(G)
+        # ascending eigenpairs in the SVD's descending order; a rounded
+        # eigenvalue below 0 is clamped, and its problem fails the screen
+        lam = np.maximum(lam[:, ::-1], 0.0)
+        Vt = np.swapaxes(V[:, :, ::-1], 1, 2)
+    else:
+        _, lam, Vt = np.linalg.svd(G)
     gram = finite & _gram_decided(np.sqrt(lam), Vt[:, p, p])
     if gram.all():  # the common case, with no copy of A
         return StackFactor(*_gram_route(A, x, lam, Vt), gram)
     merged = []
     for fast, slow in zip(_gram_route(A[gram], x, lam[gram], Vt[gram]), _svd_route(A[~gram], x)):
+        if slow is None:  # a field of the signal, factored without one
+            merged.append(None)
+            continue
         field = np.empty(gram.shape + slow.shape[1:], dtype=slow.dtype)
         field[gram], field[~gram] = fast, slow
         merged.append(field)
@@ -262,8 +294,8 @@ def tls_factor_stack(A, x) -> StackFactor:
 
 def _gram_decided(S, v) -> np.ndarray:
     """Whether the Gram route decides each problem: singular values ``S``
-    (b, p + 1) from the SVD of ``G = A'A`` and ``v`` (b,) the last component
-    of its discarded right singular vector.
+    (b, p + 1) from the factorization of ``G = A'A`` and ``v`` (b,) the last
+    component of its discarded right singular vector.
 
     Forming G costs the small singular values accuracy: ``S_j`` carries an
     error of about ``eps S_1^2 / S_j``.  So a problem is decided here only
@@ -285,9 +317,13 @@ def _gram_decided(S, v) -> np.ndarray:
 
 def _gram_route(A, x, lam, Vt):
     # StackFactor's fields up to ``gram`` for problems _gram_decided
-    # accepts, from the SVDs G = V diag(lam) V' of their Gram matrices.
+    # accepts, from the factorizations G = V diag(lam) V' of their Gram
+    # matrices, lam descending.
     p = A.shape[2] - 1
     S = np.sqrt(lam)
+    coef, core, codes = S * Vt[:, :, p], S[:, :p, None] * Vt[:, :p, :p], np.full(A.shape[0], "")
+    if x is None:
+        return coef, None, None, core, codes
     At = np.swapaxes(A, 1, 2)
     V = np.swapaxes(Vt, 1, 2)
 
@@ -300,7 +336,7 @@ def _gram_route(A, x, lam, Vt):
     r = x - (A @ w)[..., 0]
     coef_x = S * (Vt @ w)[..., 0]
     resid = np.sum(r * r, axis=1) + coef_x[:, p] * coef_x[:, p]
-    return S * Vt[:, :, p], coef_x, resid, S[:, :p, None] * Vt[:, :p, :p], np.full(A.shape[0], "")
+    return coef, coef_x, resid, core, codes
 
 
 def _svd_route(A, x):
@@ -309,10 +345,12 @@ def _svd_route(A, x):
     p = A.shape[2] - 1
     U, S, Vt = np.linalg.svd(A, full_matrices=False)
     core = np.swapaxes(U[..., :p], 1, 2) @ A[..., :p]
+    coef, codes = (A[:, None, :, p] @ U)[:, 0], _rejection_codes(S, Vt[:, p, p], core)
+    if x is None:
+        return coef, None, None, core, codes
     coef_x = x @ U
     rho = x - (U[..., :p] @ coef_x[:, :p, None])[..., 0]
-    return ((A[:, None, :, p] @ U)[:, 0], coef_x, np.sum(rho * rho, axis=1), core,
-            _rejection_codes(S, Vt[:, p, p], core))
+    return coef, coef_x, np.sum(rho * rho, axis=1), core, codes
 
 
 def tls_objective(theta, H_tilde, y) -> float:

@@ -2,6 +2,7 @@ import dataclasses
 import sys
 import threading
 import time
+import warnings
 from functools import partial
 
 import numpy as np
@@ -890,6 +891,94 @@ def test_near_noiseless_chunks_take_the_svd_of_A(sigma2):
         assert factor.codes.tolist() == [_solve_code(row) for row in A]
 
 
+def _spy_gram_factors(monkeypatch):
+    """Record the order n of every square stack (b, n, n) passed to
+    ``np.linalg.eigh`` and ``np.linalg.svd``: p + 1 for Gram matrices, p
+    for cores (a stack of A is not square)."""
+    calls = {"eigh": [], "svd": []}
+    for name in calls:
+        def spy(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            a = np.asarray(a)
+            if a.ndim == 3 and a.shape[1] == a.shape[2]:
+                calls[_name].append(a.shape[1])
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("p, factor_name", [(24, "eigh"), (25, "svd")],
+                         ids=["order-25-eigh", "order-26-svd"])
+def test_gram_factor_switches_at_the_eigensolver_bound(monkeypatch, p, factor_name):
+    # order p + 1 = 25 takes the symmetric eigensolver, 26 the SVD of G
+    # (above 25 the eigensolver starts BLAS threads); both match tls_solve
+    model = gaussian_model(N=4 * (p + 1), p=p, theta=np.linspace(1.0, -0.5, p), sigma2=0.25,
+                           seed=5)
+    A = sample_tls_block(model, 5, 0, 9)
+    calls = _spy_gram_factors(monkeypatch)
+    factor = tls_factor_stack(A, model.x)
+    assert calls == {"eigh": [], "svd": [], factor_name: [p + 1]}
+    assert factor.gram.all()
+    _assert_factor_matches_solve(A, model.x, factor, ORTHO_TOL)
+
+
+def test_duplicated_column_takes_the_svd_of_A_without_a_warning():
+    # a duplicated H_tilde column makes G singular; the eigensolver returns
+    # rounded eigenvalues below 0 for some rows, which the factor clamps
+    # instead of taking their square root
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((64, 16, 5))
+    A[:, :, 1] = A[:, :, 0]
+    assert (np.linalg.eigh(np.swapaxes(A, 1, 2) @ A)[0][:, 0] < 0).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factor = tls_factor_stack(A, np.ones(16))
+    assert not factor.gram.any()
+    assert factor.codes.tolist() == [_solve_code(row) for row in A]
+    assert set(factor.codes.tolist()) == {"degenerate-solution"}
+
+
+@pytest.mark.parametrize("p", [2, 4, 25], ids=["mixed-routes", "tls-grid", "order-26-svd"])
+def test_factor_without_x_matches_the_full_factor(p):
+    # both routes: the mixed stack holds rejected rows, which take svd(A)
+    if p == 2:
+        A = _tls_rows()
+    else:
+        model = gaussian_model(N=4 * (p + 1), p=p, theta=np.linspace(1.0, -0.5, p),
+                               sigma2=0.25, seed=7)
+        A = sample_tls_block(model, 7, 0, 64)
+    full = tls_factor_stack(A, np.random.default_rng(8).standard_normal(A.shape[1]))
+    bare = tls_factor_stack(A)
+    assert bare.coef_x is None and bare.resid is None
+    for name in ("coef", "core", "codes", "gram"):
+        assert getattr(bare, name).tobytes() == getattr(full, name).tobytes(), name
+    assert full.gram.any() and (p != 2 or not full.gram.all())
+
+
+def test_selection_comparison_does_not_depend_on_the_signal_fields(monkeypatch):
+    # the grid report factors without x; with x, on a model with rejected
+    # trials, every field is the same
+    _inject_flaky_stack(monkeypatch)
+    factor, signals = harness_mod.tls_factor_stack, []
+
+    def recorded(A, x):
+        signals.append(x)
+        return factor(A, x)
+
+    monkeypatch.setattr(harness_mod, "tls_factor_stack", recorded)
+    spec = ExperimentSpec(model=tls_model(sigma2=0.25, seed=31), family="rrtls", trials=3000,
+                          seed=31)
+    grid = [0.0, 0.5, 1.0, 3.0, 30.0]
+    bare = compare_selection_rules(spec, grid)
+    assert len(signals) > 1 and all(x is None for x in signals)
+    kernel = harness_mod._eiv_kernel
+    monkeypatch.setattr(harness_mod, "_eiv_kernel",
+                        lambda spec, start, stop, x=None: kernel(spec, start, stop, spec.model.x))
+    full = compare_selection_rules(spec, grid)
+    assert bare.failures.get("nonunique-tls", 0) > 0 and bare.witness is not None
+    assert _as_bytes(bare) == _as_bytes(full)
+
+
 def _solve_code(row):
     p = row.shape[1] - 1
     try:
@@ -1310,9 +1399,9 @@ def test_lanes_under_stress_evaluate_each_chunk_once(monkeypatch):
     kernel = harness_mod._eiv_kernel
     starts = []
 
-    def counted(spec, start, stop):
+    def counted(spec, start, stop, *x):
         starts.append(start)
-        return kernel(spec, start, stop)
+        return kernel(spec, start, stop, *x)
 
     monkeypatch.setattr(harness_mod, "_eiv_kernel", counted)
     _set_lanes(monkeypatch, 8)
@@ -1337,13 +1426,13 @@ def test_worker_error_leaves_the_run_intact(monkeypatch, grid):
     caller = threading.get_ident()
     worker_failed = threading.Event()
 
-    def failing(spec, start, stop):
+    def failing(spec, start, stop, *x):
         if threading.get_ident() != caller:
             worker_failed.set()
             raise ValueError("injected in a worker")
         if start:  # leave at least one chunk to a worker
             assert worker_failed.wait(timeout=60)
-        return kernel(spec, start, stop)
+        return kernel(spec, start, stop, *x)
 
     monkeypatch.setattr(harness_mod, "_eiv_kernel", failing)
     before = threading.active_count()
@@ -1394,13 +1483,13 @@ def test_a_chunk_error_cancels_the_chunks_queued_behind_it(monkeypatch, grid):
     kernel = harness_mod._eiv_kernel
     started = []
 
-    def failing(spec, start, stop):
+    def failing(spec, start, stop, *x):
         started.append(start // rows)
         if start == k * rows:
             raise ValueError("injected in chunk k")
         if start > k * rows:
             time.sleep(0.2)  # every worker holds its chunk past k until the cancel
-        return kernel(spec, start, stop)
+        return kernel(spec, start, stop, *x)
 
     monkeypatch.setattr(harness_mod, "_eiv_kernel", failing)
     before = threading.active_count()
