@@ -2,40 +2,41 @@
 
 The four estimator families are labels over two observation models:
 ``ls``/``rrls`` draw additive noise, ``tls``/``rrtls`` draw
-errors-in-variables realizations.  ``run`` walks the trials in fixed chunks
-of consecutive trial indices, each trial drawn from its own substream, and
-evaluates every rank arm of the observation model on the same realizations
-(paired-seed fairness).  A chunk is drawn and evaluated as stacked arrays:
-additive chunks as one (b, N) block of observations, errors-in-variables
-chunks as one (b, N, p + 1) block of augmented matrices factored and
-checked at once (``tls.tls_factor_stack``), with rejected trials counted
-per error code and dropped.  That factor never forms the left singular
-vectors: it reads each trial's singular values, right singular vectors and
-the coefficients of y (and, for ``run``, of x) from its (p + 1)-by-(p + 1)
-Gram matrix, factored by the symmetric eigensolver up to order 25 and by
-the SVD above it, where the eigensolver would start BLAS threads, and
-gives the trials that route cannot decide safely the SVD of the augmented
-matrix itself.  The grid report reads only the coefficients of y, so its
-chunks are factored without x.  The blocks come from ``model``'s block
-sampler; a stream guard draws trial 0 once through the per-trial
-``sample_ls``/``sample_tls`` before a run's first block and raises
-``RuntimeError`` unless the block's first row equals it bit for bit.
-Errors-in-variables chunks after the first are evaluated by one worker
-thread per usable CPU, at most twice as many chunks ahead of the merge as
-there are workers (``_chunk_map``); additive chunks, which lost trials/s on
-lanes, run on the calling thread alone.  Either way each chunk's central
-moments are merged into the run totals on the calling thread in chunk
-order, so the bytes do not depend on the lane count.  The
-aggregates (per-rank squared errors, the data-driven risk estimate, the
-moments of the normalized full-rank error) are the statistics the
-verification suite reads, so it needs no per-trial rows.
+errors-in-variables realizations.  Every family selects its rank by one
+rule: keep a direction whose score clears ``2 sigma2 (1 + t)``
+(``ls._rank_threshold``), t the squared parameter norm the rule assumes:
+0 for LS, the model's ``theta'theta`` or a bound for TLS in ``run``, and
+each value of a grid in ``compare_selection_rules``.  So ``run`` is the
+one-norm case of the grid report, on the same chunks and the same tally.
+
+Both walk the trials in fixed chunks of consecutive trial indices, each
+trial drawn from its own substream, and evaluate every arm of the
+observation model on the same realizations (paired-seed fairness).  A
+chunk is drawn and evaluated as stacked arrays: additive chunks as one
+(b, N) block of observations, errors-in-variables chunks as one
+(b, N, p + 1) block of augmented matrices factored and checked at once
+(``tls.tls_factor_stack``), with rejected trials counted per error code
+and dropped.  That factor never forms the left singular vectors: it reads
+each trial's singular values, right singular vectors and the coefficients
+of y (and, for ``run``, of x) from its (p + 1)-by-(p + 1) Gram matrix,
+and gives the trials that route cannot decide safely the SVD of the
+augmented matrix itself.  A chunk returns its solved trials, the (G, b)
+rank each of G norms selects, counted on the unsorted scores, its arms
+and its rejections.  The grid report reads only the ranks, so its chunks
+are factored without x and never sort; ``run``'s chunks order the scores
+for the per-rank squared errors of their arms.  The blocks come from
+``model``'s block sampler; a stream guard draws trial 0 once through the
+per-trial ``sample_ls``/``sample_tls`` before a run's first block and
+raises ``RuntimeError`` unless the block's first row equals it bit for
+bit.  Errors-in-variables chunks after the first run on worker threads
+(``_chunk_map``); one tally merges every chunk's rank counts, rejections
+and central moments on the calling thread in chunk order, so the bytes do
+not depend on the lane count, and no per-trial rows are kept.
 ``verify_chi_square`` turns the normalized-squared-error moment claims of
 any sequence of error vectors into the same pass/fail report that ``run``
-attaches, ``compare_selection_rules`` evaluates the rank selection
-of the reduced TLS hypothesis across a grid of parameter norms on identical
-realizations, and ``search_norm_dependence_witness`` constructs, from the
-rank thresholds ``2 sigma2 (1 + t)``, a synthetic score vector whose
-selected rank provably changes with the parameter norm.
+attaches, and ``search_norm_dependence_witness`` constructs, from the rank
+thresholds, a synthetic score vector whose selected rank provably changes
+with the parameter norm.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .errors import InsufficientDataError, check_integer, check_real, finite_arr
 # per-trial ``select_rank_ls``, ``tls_solve``, ``augmented_scores``,
 # ``q_objective`` and ``q_objective_bias_recipe`` are kept importable here
 # for that reason.
-from .ls import _count_rank, risk_objective, select_rank_ls, tail_sums  # noqa: F401
+from .ls import _count_rank, _rank_threshold, risk_objective, select_rank_ls, tail_sums  # noqa: F401
 from .model import (
     MeasurementModel,
     sample_ls,
@@ -367,36 +368,6 @@ def _sample_block(spec: ExperimentSpec, start: int, stop: int) -> np.ndarray:
     return block
 
 
-def _eiv_kernel(spec: ExperimentSpec, start: int, stop: int, x=None):
-    """Trials ``[start, stop)`` of the errors-in-variables model up to the
-    selection scores, as stacked arrays: draw, factor and check, order.
-
-    Rejected trials are counted under their error code and dropped.  For
-    the solved trials, in trial order, returns ``(trials, factor, order,
-    scores, failures)``: their indices; their rows of
-    ``tls.tls_factor_stack``'s :class:`tls.StackFactor` (the coefficients
-    ``U'y`` and, given the signal ``x``, ``U'x`` on the left singular
-    vectors of ``[H_tilde, y]``, retained columns first and the discarded
-    one last, the residual ``|x - U_s U_s'x|^2`` and the cores
-    ``U_s' H_tilde``; without ``x`` the fields of the signal are ``None``
-    and no least-squares solve is made); the stable
-    descending order of the retained scores (b, p); the augmented scores
-    (b, p + 1), the ordered retained scores followed by the discarded
-    direction's; and the chunk's rejections per error code.
-    """
-    p = spec.model.p
-    factor = tls_factor_stack(_sample_block(spec, start, stop), x)
-    solved = factor.codes == ""
-    failures = {str(code): int(n)
-                for code, n in zip(*np.unique(factor.codes[~solved], return_counts=True))}
-    if failures:  # the whole-stack copies only when a row is dropped
-        factor = StackFactor(*(None if field is None else field[solved] for field in factor))
-    scores = factor.coef * factor.coef
-    order = np.argsort(-scores[:, :p], axis=1, kind="stable")
-    scores[:, :p] = np.take_along_axis(scores[:, :p], order, axis=1)
-    return start + np.flatnonzero(solved), factor, order, scores, failures
-
-
 def _additive_chunk(spec: ExperimentSpec, U: np.ndarray, d: np.ndarray, resid: float,
                     start: int, stop: int):
     """Trials ``[start, stop)`` of the additive model as stacked arrays.
@@ -404,10 +375,10 @@ def _additive_chunk(spec: ExperimentSpec, U: np.ndarray, d: np.ndarray, resid: f
     ``U`` is the run's left singular basis, ``d = U'x`` and ``resid =
     |x - U U'x|^2``.  ``C = Y U`` holds every trial's coefficients; each
     row is ordered by descending score (stable, so ties keep the column
-    order).  Returns the rows ``(sq, index, blocks)``: squared errors per
-    rank (b, p), selected ranks as 0-based indices, the arms ``risk``
-    (risk estimate per rank) and, for ``sigma2 > 0``, ``norm``, and the
-    chunk's rejections per error code (none for this model).
+    order).  Returns ``(trials, index, arms, failures)`` as ``_eiv_chunk``
+    does, with one norm, t = 0 (the LS rule): the arms are ``sq`` (squared
+    errors per rank, (b, p)), ``risk`` (risk estimate per rank) and, for
+    ``sigma2 > 0``, ``norm``; no trial is rejected.
     """
     model = spec.model
     Y = _sample_block(spec, start, stop)
@@ -418,34 +389,91 @@ def _additive_chunk(spec: ExperimentSpec, U: np.ndarray, d: np.ndarray, resid: f
     diff = np.take_along_axis((Y - model.x) @ U, order, axis=1)
     sq = _rank_sq_errors(diff, d[order], resid)
     scores = c * c
-    blocks = {"risk": risk_objective(scores, model.sigma2)}
+    arms = {"sq": sq, "risk": risk_objective(scores, model.sigma2)}
     if model.sigma2 > 0:
-        blocks["norm"] = sq[:, -1] / model.sigma2
-    return sq, _count_rank(scores, 2.0 * model.sigma2) - 1, blocks, {}
+        arms["norm"] = sq[:, -1] / model.sigma2
+    index = _count_rank(scores, _rank_threshold(model.sigma2, 0.0))[None] - 1
+    return np.arange(start, stop), index, arms, {}
 
 
-def _eiv_chunk(spec: ExperimentSpec, start: int, stop: int):
+def _eiv_chunk(spec: ExperimentSpec, norms: np.ndarray, signal: bool, start: int, stop: int):
     """Trials ``[start, stop)`` of the errors-in-variables model as stacked
-    arrays (``_eiv_kernel``).  Returns the solved trials' rows and the
-    rejections as ``_additive_chunk`` does, with the arms ``theory`` and
-    ``formula_full`` (all empty if none is solved), from the coefficients
-    of y and x on each trial's ordered retained columns; the corrected
-    signal ``U_s (core theta)`` misses x by
-    ``|core theta - U_s'x|^2 + |x - U_s U_s'x|^2``."""
+    arrays: draw, factor and check (``tls.tls_factor_stack``), count.
+
+    Rejected trials are counted under their error code and dropped.  For
+    the solved trials, in trial order, returns ``(trials, index, arms,
+    failures)``: their indices; the (G, b) 0-based rank each of the G
+    squared parameter norms ``norms`` selects, the count of the retained
+    scores ``(U'y)_j^2`` above ``2 sigma2 (1 + t)``, which reads them
+    unsorted; the arms; and the chunk's rejections per error code.  Only
+    with ``signal`` is the stack factored with x and are the retained
+    columns ordered by descending score (stable), for the arms ``sq``,
+    ``theory`` and ``formula_full`` from the coefficients of y and x (all
+    empty if no trial is solved): the corrected signal ``U_s (core theta)``
+    misses x by ``|core theta - U_s'x|^2 + |x - U_s U_s'x|^2``.  Without it
+    there are no arms.
+    """
     model = spec.model
     p, sigma2 = model.p, model.sigma2
-    t_val = model.theta_norm2 if spec.tls_mode == "oracle" else float(spec.bound)
-    _, factor, order, scores, failures = _eiv_kernel(spec, start, stop, model.x)
+    factor = tls_factor_stack(_sample_block(spec, start, stop), model.x if signal else None)
+    solved = factor.codes == ""
+    failures = {str(code): int(n)
+                for code, n in zip(*np.unique(factor.codes[~solved], return_counts=True))}
+    if failures:  # the whole-stack copies only when a row is dropped
+        factor = StackFactor(*(None if field is None else field[solved] for field in factor))
+    coef = factor.coef[:, :p]
+    scores = coef * coef
+    index = _count_rank(scores, _rank_threshold(sigma2, norms[:, None])) - 1
+    trials = start + np.flatnonzero(solved)
+    if not signal:
+        return trials, index, {}, failures
+    order = np.argsort(-scores, axis=1, kind="stable")
     coef_x = factor.coef_x
     d = np.take_along_axis(coef_x[:, :p], order, axis=1)
-    diff = np.take_along_axis(factor.coef[:, :p], order, axis=1) - d
-    sq = _rank_sq_errors(diff, d, factor.resid[:, None])
+    sq = _rank_sq_errors(np.take_along_axis(coef, order, axis=1) - d, d, factor.resid[:, None])
     d_aug = np.concatenate([d, coef_x[:, p:]], axis=1)
     theory = tail_sums(d_aug * d_aug)[:, :p] + np.arange(1, p + 1) * sigma2
     miss = factor.core @ model.theta - coef_x[:, :p]
     formula = _tls_full_mse(model, np.sum(miss * miss, axis=1) + factor.resid)
-    q_index = _count_rank(scores[:, :p], 2.0 * sigma2 * (1.0 + t_val)) - 1
-    return sq, q_index, {"theory": theory, "formula_full": formula}, failures
+    return trials, index, {"sq": sq, "theory": theory, "formula_full": formula}, failures
+
+
+class _Tally:
+    """The totals of a run, merged from its chunks' ``(trials, index, arms,
+    failures)`` in chunk order on the calling thread: the (G, p) counts of
+    each norm's selected rank, the rejections per error code, the moments
+    of each arm (with ``auto``, the squared error at the selected rank, for
+    chunks with ``sq``, which have G = 1), the completed trials, and
+    ``mover``, the first trial, in trial order, whose selected rank moves
+    across the norms, with its G ranks (``None`` until one does)."""
+
+    def __init__(self, G: int, p: int):
+        self.counts = np.zeros((G, p), dtype=np.int64)
+        self.failures: Counter = Counter()
+        self.arms: Dict[str, VecStats] = {}
+        self.completed = 0
+        self.mover = None
+
+    def merge(self, result) -> None:
+        trials, index, arms, rejected = result
+        if "sq" in arms:
+            arms["auto"] = arms["sq"][np.arange(trials.shape[0]), index[0]]
+        for name, block in arms.items():
+            self.arms.setdefault(name, VecStats(block.shape[1:])).merge(VecStats.from_block(block))
+        self.counts += _rank_tally(index, self.counts.shape[1])
+        self.failures.update(rejected)
+        self.completed += trials.shape[0]
+        if self.mover is None and index.shape[0] > 1:
+            movers = np.flatnonzero((index != index[0]).any(axis=0))
+            if movers.size:
+                self.mover = int(trials[movers[0]]), index[:, movers[0]] + 1
+
+
+def _rank_tally(q_index: np.ndarray, p: int) -> np.ndarray:
+    """(G, p) counts of each 0-based rank index in every row of a (G, b)
+    block, from one ``np.bincount`` with row g offset by ``g p``."""
+    G = q_index.shape[0]
+    return np.bincount((q_index + p * np.arange(G)[:, None]).ravel(), minlength=G * p).reshape(G, p)
 
 
 def _usable_cpus() -> int:
@@ -503,24 +531,22 @@ def _chunk_map(chunk, trials: int, rows: int, merge, lanes: int) -> None:
 def run(spec: ExperimentSpec) -> ExperimentResult:
     """Execute the Monte Carlo experiment.
 
-    Trials run in chunks of consecutive trial indices ``[start, stop)``
-    whose size the engine fixes from the per-trial draw size alone (``N``
-    floats for the additive model, ``N (p + 1)`` for errors-in-variables).
-    A chunk kernel returns its completed trials' rows for each arm of its
-    observation model, and each arm's moments are merged into the totals in
-    chunk order on the calling thread, so a seed fixes every aggregate bit
-    for bit.  Errors-in-variables chunks after the first are evaluated by
-    one worker thread per usable CPU (``os.sched_getaffinity``, capped by
-    the chunks after the first), as their draws and stacked factorizations
-    (Gram matrices and their eigendecompositions, or above order 25 their
-    SVDs, ``tls.tls_factor_stack``) run outside the GIL, while the calling
-    thread only merges their results in chunk order (``_chunk_map``); the
-    bytes do not depend on the lane count.  Additive chunks run on the
-    calling thread alone: on lanes they lost 13% trials/s and cost 17% more
-    CPU at N=16, p=4.  No per-trial rows are kept.  An Optional result
-    field is set exactly when its arm has a completed trial (the moment
-    report of ``norm`` needs two); the risk estimate minus ``sigma2 * r``
-    is ``ls.bias_estimate``'s corrected statistic.
+    The one-norm case of ``compare_selection_rules``: ranks are selected
+    at t = 0 for the additive model (the LS rule), and for
+    errors-in-variables at the model's ``theta'theta`` in oracle mode or at
+    the bound in bound mode.  Trials run in chunks whose size the engine
+    fixes from the model shape alone; a chunk returns its completed trials'
+    rows for each arm of its observation model, and one tally merges the
+    arms' moments and the rank counts in chunk order on the calling thread,
+    so a seed fixes every aggregate bit for bit, whatever the lane count.
+    Errors-in-variables chunks after the first run on one worker thread
+    per usable CPU (``_chunk_map``), as their draws and stacked
+    factorizations run outside the GIL.  Additive chunks run on the calling
+    thread alone: on lanes they lost 13% trials/s and cost 17% more CPU at
+    N=16, p=4.  No per-trial rows are kept.  An Optional result field is
+    set exactly when its arm has a completed trial (the moment report of
+    ``norm`` needs two); the risk estimate minus ``sigma2 * r`` is
+    ``ls.bias_estimate``'s corrected statistic.
 
     Per-trial estimator failures (e.g. TLS nonuniqueness) are counted per
     error code and excluded from the aggregates, never imputed.
@@ -530,7 +556,8 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
     if spec.observation == ERRORS_IN_VARIABLES:
         # replaced by the theory arm's mean once a trial completes
         mse_theory = np.full(p, np.nan)
-        chunk = partial(_eiv_chunk, spec)
+        norm = float(spec.bound) if spec.tls_mode == "bound" else model.theta_norm2
+        chunk = partial(_eiv_chunk, spec, np.array([norm]), True)
         rows = _chunk_rows(model.N * (p + 1))
         lanes = _usable_cpus()
     else:
@@ -543,13 +570,11 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         chunk = partial(_additive_chunk, spec, U, d, float(rho @ rho))
         rows = _chunk_rows(model.N)
         lanes = 1
-    totals: Dict[str, VecStats] = {}
-    sel_counts = np.zeros(p, dtype=np.int64)
-    failures: Counter = Counter()
-    _chunk_map(chunk, spec.trials, rows, partial(_merge_chunk, totals, sel_counts, failures), lanes)
+    tally = _Tally(1, p)
+    _chunk_map(chunk, spec.trials, rows, tally.merge, lanes)
 
+    totals, completed = tally.arms, tally.completed
     means = {name: stats.mean for name, stats in totals.items() if stats.n}
-    completed = totals["sq"].n
     mse_emp = means.get("sq", np.full(p, np.nan))
     mse_theory = means.get("theory", mse_theory)
     mse_se = totals["sq"].se()
@@ -562,12 +587,12 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         trials=spec.trials,
         seed=spec.seed,
         completed=completed,
-        failures=dict(sorted(failures.items())),
+        failures=dict(sorted(tally.failures.items())),
         ranks=np.arange(1, p + 1),
         mse_emp=mse_emp,
         mse_se=mse_se,
         mse_theory=mse_theory,
-        sel_freq=sel_counts / completed if completed else np.zeros(p),
+        sel_freq=tally.counts[0] / completed if completed else np.zeros(p),
         auto_mse=float(means.get("auto", np.nan)),
         auto_se=float(totals["auto"].se()),
         risk_estimate_mean=means.get("risk"),
@@ -576,19 +601,6 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         moments=_moment_report(norm, p) if norm is not None and norm.n >= 2 else None,
         row_pass=row_pass,
     )
-
-
-def _merge_chunk(totals: Dict[str, VecStats], sel_counts: np.ndarray, failures: Counter,
-                 result) -> None:
-    """Merge one chunk's ``(sq, index, blocks, failures)`` into a run's
-    totals: each arm's moments, the selected-rank counts and the rejections
-    per error code.  ``run`` calls it on its own thread, in chunk order."""
-    sq, index, blocks, rejected = result
-    blocks.update(sq=sq, auto=sq[np.arange(sq.shape[0]), index])
-    for name, block in blocks.items():
-        totals.setdefault(name, VecStats(block.shape[1:])).merge(VecStats.from_block(block))
-    sel_counts += np.bincount(index, minlength=sel_counts.shape[0])
-    failures.update(rejected)
 
 
 def _moment_report(stats: VecStats, dof: int) -> MomentReport:
@@ -627,22 +639,16 @@ def verify_chi_square(errors, sigma2: float, dof: int) -> MomentReport:
     return _moment_report(VecStats.from_block(s), dof)
 
 
-def _rank_tally(q_index: np.ndarray, p: int) -> np.ndarray:
-    """(G, p) counts of each 0-based rank index in every row of a (G, b)
-    block, from one ``np.bincount`` with row g offset by ``g p``."""
-    G = q_index.shape[0]
-    return np.bincount((q_index + p * np.arange(G)[:, None]).ravel(), minlength=G * p).reshape(G, p)
-
-
 def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> SelectionComparison:
     """Evaluate the reduced-TLS rank selection across a grid of parameter
     norms on identical realizations.
 
-    Runs on the engine's stacked errors-in-variables kernel, chunk by
-    chunk on ``run``'s lanes, and selects every grid value's rank at once
-    as the count of the first p scores above ``2 sigma2 (1 + t)``, the rank
-    of both rules; the grid replaces the spec's TLS mode, which must be the
-    oracle one.
+    ``run`` with one norm per grid value: the same chunks, lanes and tally,
+    with the rank of every grid value counted at once as the number of
+    retained scores above ``2 sigma2 (1 + t)``, the rank of both rules.
+    The count reads the scores unsorted and the stack is factored without
+    x, as no arm is evaluated.  The grid replaces the spec's TLS mode,
+    which must be the oracle one.
     Flags theta dependence when any realization selects different ranks at
     two grid points: the witness is the first such trial, in trial order,
     with the first grid value and the first one whose rank differs from it,
@@ -658,42 +664,23 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
                          f"got {spec.tls_mode!r}")
     grid_arr = _norm_grid(grid, "grid")
     model = spec.model
-    p = model.p
-    G = grid_arr.shape[0]
-    counts = np.zeros((G, p), dtype=np.int64)
-    failures: Counter = Counter()
+    tally = _Tally(grid_arr.shape[0], model.p)
+    _chunk_map(partial(_eiv_chunk, spec, grid_arr, False), spec.trials,
+               _chunk_rows(model.N * (model.p + 1)), tally.merge, _usable_cpus())
     witness = None
-    threshold = 2.0 * model.sigma2 * (1.0 + grid_arr[:, None])
-
-    def chunk(start, stop):
-        trials, _, _, scores, rejected = _eiv_kernel(spec, start, stop)
-        # (G, b) selected rank indices: every grid value on every trial
-        q_index = _count_rank(scores[:, :p], threshold) - 1
-        return trials, q_index, rejected
-
-    def merge(result):
-        nonlocal counts, witness
-        trials, q_index, rejected = result
-        counts += _rank_tally(q_index, p)
-        failures.update(rejected)
-        if witness is None:
-            movers = np.flatnonzero((q_index != q_index[0]).any(axis=0))
-            if movers.size:
-                q = q_index[:, movers[0]] + 1
-                i = int(np.argmax(q != q[0]))
-                witness = {"trial": int(trials[movers[0]]), "t1": float(grid_arr[0]),
-                           "t2": float(grid_arr[i]), "q1": int(q[0]), "q2": int(q[i])}
-
-    _chunk_map(chunk, spec.trials, _chunk_rows(model.N * (p + 1)), merge, _usable_cpus())
-    completed = spec.trials - sum(failures.values())
-    freq = counts / completed if completed else np.zeros_like(counts, dtype=float)
+    if tally.mover is not None:
+        trial, q = tally.mover
+        i = int(np.argmax(q != q[0]))
+        witness = {"trial": trial, "t1": float(grid_arr[0]), "t2": float(grid_arr[i]),
+                   "q1": int(q[0]), "q2": int(q[i])}
+    completed = tally.completed
     return SelectionComparison(
         grid=grid_arr,
-        q_star_freq=freq,
+        q_star_freq=tally.counts / completed if completed else np.zeros(tally.counts.shape),
         theta_dependent=witness is not None,
         witness=witness,
         completed=completed,
-        failures=dict(sorted(failures.items())),
+        failures=dict(sorted(tally.failures.items())),
     )
 
 
@@ -726,7 +713,7 @@ def search_norm_dependence_witness(
     if len(set(grid)) < 2:
         raise ValueError(f"t_grid needs two distinct values for a witness to exist, got {t_grid!r}")
     t1, t2 = float(grid[0]), float(grid[np.argmax(grid != grid[0])])
-    lo, hi = sorted(2.0 * sigma2 * (1.0 + np.array([t1, t2])))
+    lo, hi = sorted(_rank_threshold(sigma2, np.array([t1, t2])))
     value = sigma2 * (2.0 + t1 + t2)
     if not (lo < value <= hi and np.isfinite(value)):
         raise ValueError(f"t_grid values {t1!r} and {t2!r} give thresholds 2 sigma2 (1 + t) "

@@ -117,6 +117,13 @@ def _check_rule_inputs(scores, sigma2: float, theta_norm2: float = 0.0) -> None:
     check_real(theta_norm2, "theta_norm2")
 
 
+def _rank_threshold(sigma2, t):
+    """The score a direction must clear to be kept, ``2 sigma2 (1 + t)``,
+    with t the squared parameter norm the rule assumes, elementwise: 0 for
+    the LS rule, and for the TLS rule the oracle value, a bound or a grid."""
+    return 2.0 * sigma2 * (1.0 + t)
+
+
 def _count_rank(scores, threshold) -> np.ndarray:
     """``max(1, #{scores > threshold})`` along the last axis (the threshold
     broadcast over the leading axes): the exact argmin of every rank rule.
@@ -175,7 +182,7 @@ def select_rank_ls(basis: OrderedBasis, sigma2: float, p: int) -> RankSelection:
         raise ValueError(f"basis has {basis.k} columns, expected p={p}")
     _check_rule_inputs(basis.scores, sigma2)
     objective = risk_objective(basis.scores, sigma2)
-    r_star = int(_count_rank(basis.scores, 2.0 * sigma2))
+    r_star = int(_count_rank(basis.scores, _rank_threshold(sigma2, 0.0)))
     return RankSelection(
         objective=objective, r_star=r_star, scores_used=basis, sigma2=float(sigma2)
     )

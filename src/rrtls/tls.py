@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateSolutionError, NonUniqueTlsError, check_integer, finite_array, finite_vector
-from .ls import _check_rule_inputs, _count_rank, ls_reduced, risk_objective, tail_sums
+from .ls import _check_rule_inputs, _count_rank, _rank_threshold, ls_reduced, risk_objective, tail_sums
 from .model import MeasurementModel, _value_type
 from .svdtools import OrderedBasis, SvdFactorization, svd
 
@@ -440,7 +440,7 @@ def q_objective(scores, sigma2: float, p: int, theta_norm2: float, mode: str) ->
         raise ValueError(f"mode must be one of {Q_MODES}, got {mode!r}")
     t = float(theta_norm2)
     values = (tail_sums(scores)[:p] + sigma2 * (1.0 + t) * (2 * np.arange(1, p + 1) + p)) / (1.0 + t)
-    q_star = int(_count_rank(scores[:p], 2.0 * sigma2 * (1.0 + t)))
+    q_star = int(_count_rank(scores[:p], _rank_threshold(sigma2, t)))
     return QObjective(values=values, q_star=q_star, mode=mode, scores=scores)
 
 
@@ -475,7 +475,7 @@ def norm_dependence_certificate(theta_norm2_grid: Sequence[float], scores, sigma
     """
     grid = _norm_grid(theta_norm2_grid, "theta_norm2_grid")
     scores = _rule_scores(scores, sigma2, p)
-    q_stars = _count_rank(scores[:p], 2.0 * sigma2 * (1.0 + grid))
+    q_stars = _count_rank(scores[:p], _rank_threshold(sigma2, grid))
     i = int(np.argmax(q_stars != q_stars[0]))  # 0 when no rank differs
     witness = (float(grid[0]), float(grid[i]), int(q_stars[0]), int(q_stars[i])) if i else None
     return NormDependenceCertificate(

@@ -117,16 +117,18 @@ def test_paired_realizations_across_families():
 
 
 def _spy_sq_rows(monkeypatch):
-    """Record the per-rank squared errors (b, p) of every chunk the engine
-    merges into its totals, in merge order (trial order)."""
+    """Record the per-rank squared errors (b, p) of every chunk ``run``
+    merges into its tally, in merge order (trial order); the grid report's
+    chunks have no arms."""
     rows = []
-    merge_chunk = harness_mod._merge_chunk
+    merge = harness_mod._Tally.merge
 
-    def spy(*args):
-        rows.append(args[-1][0])  # the chunk result's sq
-        return merge_chunk(*args)
+    def spy(tally, result):
+        if "sq" in result[2]:  # the chunk result's arms
+            rows.append(result[2]["sq"])
+        return merge(tally, result)
 
-    monkeypatch.setattr(harness_mod, "_merge_chunk", spy)
+    monkeypatch.setattr(harness_mod._Tally, "merge", spy)
     return rows
 
 
@@ -971,12 +973,31 @@ def test_selection_comparison_does_not_depend_on_the_signal_fields(monkeypatch):
     grid = [0.0, 0.5, 1.0, 3.0, 30.0]
     bare = compare_selection_rules(spec, grid)
     assert len(signals) > 1 and all(x is None for x in signals)
-    kernel = harness_mod._eiv_kernel
-    monkeypatch.setattr(harness_mod, "_eiv_kernel",
-                        lambda spec, start, stop, x=None: kernel(spec, start, stop, spec.model.x))
+    chunk = harness_mod._eiv_chunk
+    monkeypatch.setattr(harness_mod, "_eiv_chunk",
+                        lambda spec, norms, signal, start, stop: chunk(spec, norms, True, start, stop))
     full = compare_selection_rules(spec, grid)
     assert bare.failures.get("nonunique-tls", 0) > 0 and bare.witness is not None
     assert _as_bytes(bare) == _as_bytes(full)
+
+
+def test_run_is_the_one_norm_case_of_the_grid_report(monkeypatch):
+    # run() selects by the grid report's rule at the one norm it assumes:
+    # the model's theta'theta in oracle mode, the bound in bound mode; with
+    # rejected trials, the counts, completions and rejections are the same
+    _inject_flaky_stack(monkeypatch)
+    model = tls_model(sigma2=0.25, seed=31)
+    oracle = ExperimentSpec(model=model, family="rrtls", trials=3000, seed=31)
+    freqs = []
+    for spec, norm in ((oracle, model.theta_norm2),
+                       (dataclasses.replace(oracle, tls_mode="bound", bound=3.0), 3.0)):
+        res = run(spec)
+        comp = compare_selection_rules(oracle, [norm])
+        assert res.failures.get("nonunique-tls", 0) > 0
+        assert res.completed == comp.completed and res.failures == comp.failures
+        assert res.sel_freq.tobytes() == comp.q_star_freq[0].tobytes()
+        freqs.append(res.sel_freq)
+    assert not np.array_equal(*freqs)  # the two norms select differently
 
 
 def _solve_code(row):
@@ -1347,14 +1368,14 @@ def _as_bytes(result):
 @pytest.mark.parametrize("grid", [None, [0.0, 1.0, 30.0]], ids=["run", "grid"])
 def test_errors_in_variables_bytes_do_not_depend_on_the_lane_count(monkeypatch, grid):
     _inject_flaky_stack(monkeypatch)
-    kernel = harness_mod._eiv_kernel
+    chunk = harness_mod._eiv_chunk
     threads_seen = []
 
     def counted(*args):
         threads_seen.append(threading.active_count())
-        return kernel(*args)
+        return chunk(*args)
 
-    monkeypatch.setattr(harness_mod, "_eiv_kernel", counted)
+    monkeypatch.setattr(harness_mod, "_eiv_chunk", counted)
     spec = _lane_spec()
     before = threading.active_count()
     results = []
@@ -1396,14 +1417,14 @@ def test_lanes_under_stress_evaluate_each_chunk_once(monkeypatch):
     rows = _chunk(2048 * 4)
     spec = ExperimentSpec(model=model, family="rrtls", trials=50 * rows - 1, seed=75)
     reference = _as_bytes(run(spec))
-    kernel = harness_mod._eiv_kernel
+    chunk = harness_mod._eiv_chunk
     starts = []
 
-    def counted(spec, start, stop, *x):
+    def counted(spec, norms, signal, start, stop):
         starts.append(start)
-        return kernel(spec, start, stop, *x)
+        return chunk(spec, norms, signal, start, stop)
 
-    monkeypatch.setattr(harness_mod, "_eiv_kernel", counted)
+    monkeypatch.setattr(harness_mod, "_eiv_chunk", counted)
     _set_lanes(monkeypatch, 8)
     results = []
     interval = sys.getswitchinterval()
@@ -1422,19 +1443,19 @@ def test_lanes_under_stress_evaluate_each_chunk_once(monkeypatch):
 @pytest.mark.parametrize("grid", [None, [0.0, 1.0, 30.0]], ids=["run", "grid"])
 def test_worker_error_leaves_the_run_intact(monkeypatch, grid):
     _set_lanes(monkeypatch, 3)
-    kernel = harness_mod._eiv_kernel
+    chunk = harness_mod._eiv_chunk
     caller = threading.get_ident()
     worker_failed = threading.Event()
 
-    def failing(spec, start, stop, *x):
+    def failing(spec, norms, signal, start, stop):
         if threading.get_ident() != caller:
             worker_failed.set()
             raise ValueError("injected in a worker")
         if start:  # leave at least one chunk to a worker
             assert worker_failed.wait(timeout=60)
-        return kernel(spec, start, stop, *x)
+        return chunk(spec, norms, signal, start, stop)
 
-    monkeypatch.setattr(harness_mod, "_eiv_kernel", failing)
+    monkeypatch.setattr(harness_mod, "_eiv_chunk", failing)
     before = threading.active_count()
     with pytest.raises(ValueError) as caught:
         _run_or_compare(_lane_spec(), grid)
@@ -1447,7 +1468,7 @@ def test_lanes_run_at_most_two_chunks_per_lane_ahead_of_the_merge(monkeypatch):
     _set_lanes(monkeypatch, lanes)
     spec = _lane_spec()
     total = len(range(0, spec.trials, _chunk(64 * 4)))
-    kernel, merge = harness_mod._eiv_kernel, harness_mod._merge_chunk
+    chunk, merge = harness_mod._eiv_chunk, harness_mod._Tally.merge
     changed = threading.Condition()
     merged = [0]
     ahead = []  # chunks started and not yet merged, as each chunk starts
@@ -1456,7 +1477,7 @@ def test_lanes_run_at_most_two_chunks_per_lane_ahead_of_the_merge(monkeypatch):
         with changed:
             ahead.append(len(ahead) + 1 - merged[0])
             changed.notify_all()
-        return kernel(*args)
+        return chunk(*args)
 
     def slow_merge(*args):
         # once the workers run, the caller waits for them to fill the window,
@@ -1469,8 +1490,8 @@ def test_lanes_run_at_most_two_chunks_per_lane_ahead_of_the_merge(monkeypatch):
         with changed:
             merged[0] += 1
 
-    monkeypatch.setattr(harness_mod, "_eiv_kernel", counted)
-    monkeypatch.setattr(harness_mod, "_merge_chunk", slow_merge)
+    monkeypatch.setattr(harness_mod, "_eiv_chunk", counted)
+    monkeypatch.setattr(harness_mod._Tally, "merge", slow_merge)
     run(spec)
     assert merged[0] == total and max(ahead) == 2 * lanes
 
@@ -1480,18 +1501,18 @@ def test_a_chunk_error_cancels_the_chunks_queued_behind_it(monkeypatch, grid):
     lanes, k = 2, 3
     _set_lanes(monkeypatch, lanes)
     rows = _chunk(64 * 4)
-    kernel = harness_mod._eiv_kernel
+    chunk = harness_mod._eiv_chunk
     started = []
 
-    def failing(spec, start, stop, *x):
+    def failing(spec, norms, signal, start, stop):
         started.append(start // rows)
         if start == k * rows:
             raise ValueError("injected in chunk k")
         if start > k * rows:
             time.sleep(0.2)  # every worker holds its chunk past k until the cancel
-        return kernel(spec, start, stop, *x)
+        return chunk(spec, norms, signal, start, stop)
 
-    monkeypatch.setattr(harness_mod, "_eiv_kernel", failing)
+    monkeypatch.setattr(harness_mod, "_eiv_chunk", failing)
     before = threading.active_count()
     with pytest.raises(ValueError, match="injected in chunk k"):
         _run_or_compare(_lane_spec(), grid)
@@ -1515,7 +1536,7 @@ _TRACED = [(harness_mod, name) for name in (
 def test_lanes_call_the_traced_names_on_the_calling_thread_only(monkeypatch, grid):
     _set_lanes(monkeypatch, 3)
     calls = []
-    for owner, name in _TRACED + [(harness_mod, "_eiv_kernel")]:
+    for owner, name in _TRACED + [(harness_mod, "_eiv_chunk")]:
         def recorded(*args, _original=getattr(owner, name), _name=name):
             calls.append((_name, threading.get_ident()))
             return _original(*args)
@@ -1523,10 +1544,10 @@ def test_lanes_call_the_traced_names_on_the_calling_thread_only(monkeypatch, gri
         monkeypatch.setattr(owner, name, recorded)
     _run_or_compare(_lane_spec(), grid)
     caller = threading.get_ident()
-    assert {ident for name, ident in calls if name != "_eiv_kernel"} == {caller}
-    assert {name for name, _ in calls} >= {"sample_tls", "_eiv_kernel"} | (
+    assert {ident for name, ident in calls if name != "_eiv_chunk"} == {caller}
+    assert {name for name, _ in calls} >= {"sample_tls", "_eiv_chunk"} | (
         {"merge"} if grid is None else set())
-    assert any(ident != caller for name, ident in calls if name == "_eiv_kernel")
+    assert any(ident != caller for name, ident in calls if name == "_eiv_chunk")
 
 
 # ---------------------------------------------------------------------------
