@@ -6,9 +6,11 @@ record to a ``BENCH_*.json`` file at the repository root.
 
 The parent is exported with ``git archive`` into a temporary directory;
 the change is the working tree of this checkout, or another exported
-commit with ``--change``.  Each pair runs ``bench/run.py`` once from the
-root of each side, the side that runs first alternating between pairs so
-that drift in the host's speed falls on both alike.  The record holds the
+commit with ``--change``.  Both refs are resolved to commit hashes
+before any run, and the record names the hashes.  Each pair runs
+``bench/run.py`` once from the root of each side, the side that runs
+first alternating between pairs so that drift in the host's speed falls
+on both alike.  The record holds the
 command, the machine, each side's ``env`` line, every run's metrics,
 whether it printed ``"correct": true``, its ``artifact_sha256``, and per
 workload the distinct artifact hashes of each side, the median and
@@ -36,11 +38,16 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def export(ref: str, path: str) -> str:
-    """The tree of commit ``ref``, extracted into the new directory
-    ``path``; returns ``path``."""
-    commit = subprocess.run(["git", "rev-parse", "--verify", ref + "^{commit}"], cwd=ROOT,
-                            check=True, capture_output=True, text=True).stdout.strip()
+def resolve(ref: str) -> str:
+    """The full hash of the commit ``ref`` names, so a record still names
+    it after ``HEAD`` or a branch moves."""
+    return subprocess.run(["git", "rev-parse", "--verify", ref + "^{commit}"], cwd=ROOT,
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def export(commit: str, path: str) -> str:
+    """The tree of ``commit``, extracted into the new directory ``path``;
+    returns ``path``."""
     os.makedirs(path)
     archive = subprocess.Popen(["git", "archive", "--format=tar", commit], cwd=ROOT,
                                stdout=subprocess.PIPE)
@@ -141,12 +148,13 @@ def main(argv=None) -> int:
         parser.error("--out must name a BENCH_*.json file")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
+    parent = resolve(args.parent)
+    change = resolve(args.change) if args.change else None
 
     tmp = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
-        sides = {"parent": export(args.parent, os.path.join(tmp, "parent")),
-                 "change": (export(args.change, os.path.join(tmp, "change"))
-                            if args.change else ROOT)}
+        sides = {"parent": export(parent, os.path.join(tmp, "parent")),
+                 "change": export(change, os.path.join(tmp, "change")) if change else ROOT}
         workloads = {}
         for workload in args.workload:
             pairs = []
@@ -175,8 +183,8 @@ def main(argv=None) -> int:
         "command": shlex.join(["python3", "scripts/bench_pairs.py"] + list(
             argv if argv is not None else sys.argv[1:])),
         "date_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        "parent": args.parent,
-        "change": args.change or "working tree",
+        "parent": parent,
+        "change": change or "working tree",
         "machine": {"platform": platform.platform(), "nproc": os.cpu_count(),
                     "python": platform.python_version()},
         "procedure": ("parent and change alternate, the side that runs first alternating "

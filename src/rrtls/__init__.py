@@ -23,10 +23,8 @@ from .harness import (
     ExperimentSpec,
     MomentReport,
     SelectionComparison,
-    NormDependenceWitness,
     compare_selection_rules,
     run,
-    search_norm_dependence_witness,
     verify_chi_square,
 )
 from .ls import (
@@ -49,16 +47,14 @@ from .model import (
     spectrum_model,
     trial_rng,
 )
-from .svdtools import OrderedBasis, SvdFactorization, order_by_scores, projector, svd
+from .svdtools import OrderedBasis, SvdFactorization, order_by_scores, svd
 from .tls import (
     QObjective,
-    NormDependenceCertificate,
     TlsEstimate,
     augmented_scores,
     mse_theoretical_tls_full,
     q_objective,
     q_objective_bias_recipe,
-    norm_dependence_certificate,
     tls_objective,
     tls_reduced,
     tls_solve,
@@ -86,8 +82,6 @@ __all__ = [
     "SelectionComparison",
     "SingularModelError",
     "SvdFactorization",
-    "NormDependenceCertificate",
-    "NormDependenceWitness",
     "TlsEstimate",
     "augmented_scores",
     "bias_estimate",
@@ -99,17 +93,14 @@ __all__ = [
     "mse_theoretical_tls_full",
     "order_by_scores",
     "planted_model",
-    "projector",
     "q_objective",
     "q_objective_bias_recipe",
     "run",
     "sample_ls",
     "sample_tls",
-    "search_norm_dependence_witness",
     "select_rank_ls",
     "spectrum_model",
     "svd",
-    "norm_dependence_certificate",
     "tls_objective",
     "tls_reduced",
     "tls_solve",

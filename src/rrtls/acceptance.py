@@ -23,11 +23,12 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import RrtlsError
-from .harness import ExperimentSpec, run, search_norm_dependence_witness
+from .harness import ExperimentSpec, compare_selection_rules, run
 from .ls import tail_sums
 from .model import MeasurementModel, gaussian_model, planted_model, sample_tls, trial_rng
+from .svdtools import order_by_scores
 from .textio import csv_text, format_float, json_text
-from .tls import tls_solve
+from .tls import augmented_scores, q_objective, tls_solve
 
 DEFAULT_SEED = 20260808
 
@@ -306,45 +307,53 @@ def _criteria_6_7_8(seed: int):
     return [c6, c7, c8], art
 
 
-def _brute_force_q_star(scores, sigma2: float, p: int, t: float) -> int:
-    """Plain-Python exhaustive argmin of the rank objective (oracle for the
-    vectorized implementation)."""
-    best_q = None
-    best_v = None
-    for q in range(1, p + 1):
-        tail = 0.0
-        for j in range(q, p + 1):
-            tail += float(scores[j])
-        v = (tail + sigma2 * (1.0 + t) * (2 * q + p)) / (1.0 + t)
-        if best_v is None or v < best_v:
-            best_q, best_v = q, v
-    return best_q
-
-
 def _criterion_9(seed: int):
-    # the witness is constructed, not drawn: it does not depend on the seed
-    witness = search_norm_dependence_witness(p=4, sigma2=0.25, t_grid=(0.0, 1.0, 3.0, 10.0))
-    q1 = _brute_force_q_star(witness.scores, witness.sigma2, witness.p, witness.t1)
-    q2 = _brute_force_q_star(witness.scores, witness.sigma2, witness.p, witness.t2)
-    recheck = q1 == witness.q1 and q2 == witness.q2 and q1 != q2
+    # claim 2 from draws: the rank rule at t = 0 and at the true theta'theta
+    # on paired realizations, and the first trial whose rank moves, replayed
+    # through the per-trial pipeline
+    params = {"N": 16, "p": 4, "theta": [1.0, -0.5, 0.25, 2.0], "sigma2": 0.25,
+              "seed": seed + 109}
+    model = gaussian_model(**params)
+    trials = 10_000
+    spec = ExperimentSpec(model=model, family="rrtls", trials=trials, seed=seed + 9)
+    comp = compare_selection_rules(spec, [0.0, model.theta_norm2])
+    fraction = comp.moved / comp.completed
+    se = math.sqrt(fraction * (1.0 - fraction) / comp.completed)
+    w = comp.witness
+    replayed = None
+    if w is not None:
+        real = sample_tls(model, spec.seed, w["trial"])
+        est = tls_solve(real.H_tilde, real.y)
+        basis = order_by_scores(est.retained_columns, real.y)
+        scores = augmented_scores(basis, est.discarded_column, real.y)
+        replayed = [
+            int(np.argmin(q_objective(scores, model.sigma2, model.p, t, "oracle").values)) + 1
+            for t in (w["t1"], w["t2"])
+        ]
     data = {
-        "p": witness.p,
-        "sigma2": witness.sigma2,
-        "scores": witness.scores.tolist(),
-        "t1": witness.t1,
-        "t2": witness.t2,
-        "q_star_at_t1": witness.q1,
-        "q_star_at_t2": witness.q2,
+        "gaussian_model": params,
+        "seed": spec.seed,
+        "trials": trials,
+        "completed": comp.completed,
+        "failures": comp.failures,
+        "grid": comp.grid.tolist(),
+        "moved": comp.moved,
+        "move_fraction": fraction,
+        "move_fraction_se": se,
+        "witness": w,
+        "replayed_q_star": replayed,
     }
     crit = CriterionResult(
         number=9,
         name="norm-dependent-rank-witness",
-        passed=recheck,
+        passed=w is not None and replayed == [w["q1"], w["q2"]] and fraction > 3.0 * se,
         observed=(
-            f"q*={witness.q1} at t={format_float(witness.t1)} vs "
-            f"q*={witness.q2} at t={format_float(witness.t2)}"
+            f"rank moved on {format_float(fraction)} +/- {format_float(se)} of "
+            f"{comp.completed} trials; first trial {w['trial']}: q*={w['q1']} at "
+            f"t={format_float(w['t1'])} vs q*={w['q2']} at t={format_float(w['t2'])}"
+            if w is not None else f"rank moved on none of {comp.completed} trials"
         ),
-        required="a stored instance whose selected rank differs between two norm values",
+        required="the first moving trial replays per trial; move fraction > 3 SE above 0",
         data=data,
     )
     return [crit], {"c09_norm_dependence.json": json_text(data)}

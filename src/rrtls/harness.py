@@ -34,9 +34,7 @@ and central moments on the calling thread in chunk order, so the bytes do
 not depend on the lane count, and no per-trial rows are kept.
 ``verify_chi_square`` turns the normalized-squared-error moment claims of
 any sequence of error vectors into the same pass/fail report that ``run``
-attaches, and ``search_norm_dependence_witness`` constructs, from the rank
-thresholds, a synthetic score vector whose selected rank provably changes
-with the parameter norm.
+attaches.
 """
 
 from __future__ import annotations
@@ -71,7 +69,6 @@ from .tls import (  # noqa: F401
     _norm_grid,
     _tls_full_mse,
     augmented_scores,
-    norm_dependence_certificate,
     q_objective,
     q_objective_bias_recipe,
     tls_factor_stack,
@@ -299,28 +296,17 @@ class ExperimentResult:
 class SelectionComparison:
     """Selected-rank distributions across a grid of parameter norms,
     evaluated on identical realizations (paired by seed); the bias recipe
-    selects the same ranks, so ``q_star_freq`` is its table too."""
+    selects the same ranks, so ``q_star_freq`` is its table too.
+    ``moved`` counts the completed trials whose selected rank differs
+    between two grid values, and ``witness`` names the first of them."""
 
     grid: np.ndarray
     q_star_freq: np.ndarray
     theta_dependent: bool
     witness: Optional[Dict[str, float]]
+    moved: int
     completed: int
     failures: Dict[str, int]
-
-
-@dataclass
-class NormDependenceWitness:
-    """A synthetic instance where the selected rank changes with the
-    parameter norm: scores plus the witnessing grid pair."""
-
-    p: int
-    sigma2: float
-    scores: np.ndarray
-    t1: float
-    t2: float
-    q1: int
-    q2: int
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +429,17 @@ class _Tally:
     failures)`` in chunk order on the calling thread: the (G, p) counts of
     each norm's selected rank, the rejections per error code, the moments
     of each arm (with ``auto``, the squared error at the selected rank, for
-    chunks with ``sq``, which have G = 1), the completed trials, and
-    ``mover``, the first trial, in trial order, whose selected rank moves
-    across the norms, with its G ranks (``None`` until one does)."""
+    chunks with ``sq``, which have G = 1), the completed trials, and, for
+    G > 1, ``moved``, the count of trials whose selected rank moves across
+    the norms, and ``mover``, the first of them in trial order with its G
+    ranks (``None`` until one does)."""
 
     def __init__(self, G: int, p: int):
         self.counts = np.zeros((G, p), dtype=np.int64)
         self.failures: Counter = Counter()
         self.arms: Dict[str, VecStats] = {}
         self.completed = 0
+        self.moved = 0
         self.mover = None
 
     def merge(self, result) -> None:
@@ -463,9 +451,10 @@ class _Tally:
         self.counts += _rank_tally(index, self.counts.shape[1])
         self.failures.update(rejected)
         self.completed += trials.shape[0]
-        if self.mover is None and index.shape[0] > 1:
+        if index.shape[0] > 1:
             movers = np.flatnonzero((index != index[0]).any(axis=0))
-            if movers.size:
+            self.moved += movers.size
+            if self.mover is None and movers.size:
                 self.mover = int(trials[movers[0]]), index[:, movers[0]] + 1
 
 
@@ -649,12 +638,14 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
     The count reads the scores unsorted and the stack is factored without
     x, as no arm is evaluated.  The grid replaces the spec's TLS mode,
     which must be the oracle one.
-    Flags theta dependence when any realization selects different ranks at
-    two grid points: the witness is the first such trial, in trial order,
-    with the first grid value and the first one whose rank differs from it,
-    read from that trial's ranks: the pair
-    :func:`tls.norm_dependence_certificate` gives for its scores.  The
-    sigma2 = 0 case is provably grid-invariant (the objective is then a
+    Counts the trials that select different ranks at two grid points
+    (``moved``), and flags theta dependence when there is one: the witness
+    is the first such trial, in trial order, with the first grid value and
+    the first one whose rank differs from it, read from that trial's ranks,
+    so ``q_objective`` on the trial's per-trial scores
+    (``sample_tls``, ``tls_solve``, ``order_by_scores``,
+    ``augmented_scores``) selects ``q1`` at ``t1`` and ``q2`` at ``t2``.
+    The sigma2 = 0 case is provably grid-invariant (the objective is then a
     positive multiple of a norm-free tail sum).
     """
     if spec.family != "rrtls":
@@ -662,7 +653,7 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
     if spec.tls_mode != "oracle":
         raise ValueError(f"a grid replaces the parameter norm; tls_mode must be 'oracle', "
                          f"got {spec.tls_mode!r}")
-    grid_arr = _norm_grid(grid, "grid")
+    grid_arr = _norm_grid(grid)
     model = spec.model
     tally = _Tally(grid_arr.shape[0], model.p)
     _chunk_map(partial(_eiv_chunk, spec, grid_arr, False), spec.trials,
@@ -679,49 +670,8 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
         q_star_freq=tally.counts / completed if completed else np.zeros(tally.counts.shape),
         theta_dependent=witness is not None,
         witness=witness,
+        moved=tally.moved,
         completed=completed,
         failures=dict(sorted(tally.failures.items())),
     )
 
-
-def search_norm_dependence_witness(
-    p: int = 4,
-    sigma2: float = 0.25,
-    t_grid: Sequence[float] = (0.0, 1.0, 3.0, 10.0),
-) -> NormDependenceWitness:
-    """Construct a synthetic descending score vector whose selected rank
-    differs between two grid values of the parameter norm.
-
-    With ``t1 = t_grid[0]`` and ``t2`` the first grid value that differs
-    from it, the first two of the ``p + 1`` scores are ``sigma2 (2 + t1 +
-    t2)``, midway between the thresholds ``2 sigma2 (1 + t)`` of t1 and t2,
-    and the rest are 0: both clear the lower threshold and neither the
-    higher, so the rank is 2 at one value and 1 at the other.  The witness
-    is the :func:`tls.norm_dependence_certificate` witness of those scores,
-    so it pairs t1 with t2.
-
-    Raises ``ValueError`` before any work when no witness can exist or an
-    input is invalid: ``sigma2`` is not finite and positive (at 0 every
-    threshold is 0, so the rank does not move), ``t_grid`` is not a
-    sequence of finite values >= 0 or holds fewer than two distinct values,
-    the thresholds of t1 and t2 are too close for a float score to lie
-    strictly between them, ``p`` is not a positive integer, or ``p`` is 1
-    (one retained score selects rank 1 at every norm).
-    """
-    sigma2 = check_real(sigma2, "sigma2", strict=True)
-    grid = _norm_grid(t_grid, "t_grid") if np.size(t_grid) else ()
-    if len(set(grid)) < 2:
-        raise ValueError(f"t_grid needs two distinct values for a witness to exist, got {t_grid!r}")
-    t1, t2 = float(grid[0]), float(grid[np.argmax(grid != grid[0])])
-    lo, hi = sorted(_rank_threshold(sigma2, np.array([t1, t2])))
-    value = sigma2 * (2.0 + t1 + t2)
-    if not (lo < value <= hi and np.isfinite(value)):
-        raise ValueError(f"t_grid values {t1!r} and {t2!r} give thresholds 2 sigma2 (1 + t) "
-                         "that no finite score separates")
-    if check_integer(p, "p", 1) < 2:
-        raise ValueError(f"p must be at least 2 for a witness: one retained score selects "
-                         f"rank 1 at every norm, got {p!r}")
-    scores = np.zeros(p + 1)
-    scores[:2] = value
-    t1, t2, q1, q2 = norm_dependence_certificate(grid, scores, sigma2, p).witness
-    return NormDependenceWitness(p=p, sigma2=sigma2, scores=scores, t1=t1, t2=t2, q1=q1, q2=q2)

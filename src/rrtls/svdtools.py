@@ -1,11 +1,10 @@
-"""Thin SVD with a deterministic sign convention, score-based ordering of
-left singular vectors, and rank-r projector construction.
+"""Thin SVD with a deterministic sign convention and score-based ordering
+of left singular vectors.
 
 The ordering sorts an orthonormal column set by the squared products
 ``(u_j @ y)**2`` in descending order; every downstream quantity (scores,
-projectors, reduced-rank estimates) is invariant to the signs of the
-columns, and the sign convention exists only to make raw factors
-bit-reproducible.
+reduced-rank estimates) is invariant to the signs of the columns, and the
+sign convention exists only to make raw factors bit-reproducible.
 """
 
 from __future__ import annotations
@@ -90,10 +89,3 @@ def check_rank(basis: OrderedBasis, r: int) -> None:
     if check_integer(r, "rank r", 1) > basis.k:
         raise ValueError(f"rank r={r} out of range 1..{basis.k}")
 
-
-def projector(basis: OrderedBasis, r: int) -> np.ndarray:
-    """Rank-r orthogonal projector onto the span of the first r ordered
-    columns (symmetric, idempotent, trace r)."""
-    check_rank(basis, r)
-    Ur = basis.columns[:, :r]
-    return Ur @ Ur.T

@@ -18,15 +18,14 @@ objective is evaluated either with the oracle value (harness use) or with a
 norm bound supplied by the caller.  Both rules count scores above a
 threshold (``ls._count_rank``): LS keeps a direction whose score clears
 ``2 sigma2``, TLS only one whose score clears ``2 sigma2 (1 + t)``, t the
-unknown squared parameter norm.  A certificate helper maps a grid of
-parameter norms to their selected ranks, exposing instances where the
-chosen rank changes with the norm, i.e. where no norm-independent rank
-rule exists.
+unknown squared parameter norm, so the selected rank can change with a
+norm the data do not reveal (``harness.compare_selection_rules`` counts
+the trials where it does).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -101,17 +100,6 @@ class QObjective:
     q_star: int
     mode: str
     scores: np.ndarray
-
-
-@_value_type("theta_norm2_grid", ints=("q_stars",))
-class NormDependenceCertificate:
-    """Map from parameter-norm values to selected ranks, with a constancy
-    flag and, when the map is not constant, the first witnessing pair."""
-
-    theta_norm2_grid: np.ndarray
-    q_stars: np.ndarray
-    is_constant: bool
-    witness: Optional[Tuple[float, float, int, int]]
 
 
 def _rejection_codes(S, v, core) -> np.ndarray:
@@ -398,7 +386,7 @@ def augmented_scores(basis: OrderedBasis, u_s, y) -> np.ndarray:
     return np.append(basis.scores, float(u_s @ y) ** 2)
 
 
-def _rule_scores(scores, sigma2: float, p: int, theta_norm2: float = 0.0) -> np.ndarray:
+def _rule_scores(scores, sigma2: float, p: int, theta_norm2: float) -> np.ndarray:
     """The checked inputs of a TLS rank rule: ``p`` a positive integer
     (bools rejected), ``p + 1`` augmented scores, returned flat, whose
     first ``p`` are nonincreasing, and the checks of
@@ -413,16 +401,16 @@ def _rule_scores(scores, sigma2: float, p: int, theta_norm2: float = 0.0) -> np.
     return scores
 
 
-def _norm_grid(values, name: str) -> np.ndarray:
+def _norm_grid(values) -> np.ndarray:
     """A grid of squared parameter norms as a flat float array;
-    ``ValueError`` naming ``name`` unless it is a non-empty sequence of
-    finite values >= 0."""
+    ``ValueError`` unless it is a non-empty sequence of finite values
+    >= 0."""
     try:
         grid = np.asarray(list(values), dtype=float).reshape(-1)
     except (TypeError, ValueError):  # a scalar or a non-number
         grid = np.empty(0)
     if grid.shape[0] == 0 or not np.all(np.isfinite(grid) & (grid >= 0)):
-        raise ValueError(f"{name} must be a non-empty sequence of finite values >= 0, got {values!r}")
+        raise ValueError(f"grid must be a non-empty sequence of finite values >= 0, got {values!r}")
     return grid
 
 
@@ -461,26 +449,3 @@ def q_objective_bias_recipe(scores, sigma2: float, p: int, theta_norm2: float) -
     """
     scores = _rule_scores(scores, sigma2, p, theta_norm2)
     return risk_objective(scores, sigma2 * (1.0 + float(theta_norm2)))[:p]
-
-
-def norm_dependence_certificate(theta_norm2_grid: Sequence[float], scores, sigma2: float, p: int) -> NormDependenceCertificate:
-    """Evaluate the selected rank across a grid of parameter norms.
-
-    Returns the map t -> q_star(t) of :func:`q_objective`'s oracle rule,
-    evaluated for the whole grid at once, whether it is constant over the
-    grid, and the first pair of grid values with different selections: the
-    first value and the first one whose rank differs from it (the
-    machine-checkable witness that the selection depends on the unknown
-    parameter norm).
-    """
-    grid = _norm_grid(theta_norm2_grid, "theta_norm2_grid")
-    scores = _rule_scores(scores, sigma2, p)
-    q_stars = _count_rank(scores[:p], _rank_threshold(sigma2, grid))
-    i = int(np.argmax(q_stars != q_stars[0]))  # 0 when no rank differs
-    witness = (float(grid[0]), float(grid[i]), int(q_stars[0]), int(q_stars[i])) if i else None
-    return NormDependenceCertificate(
-        theta_norm2_grid=grid,
-        q_stars=q_stars,
-        is_constant=witness is None,
-        witness=witness,
-    )

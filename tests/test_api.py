@@ -23,8 +23,6 @@ def test_public_api_is_unchanged():
         "ModelInvalidError",
         "MomentReport",
         "NonUniqueTlsError",
-        "NormDependenceCertificate",
-        "NormDependenceWitness",
         "OrderedBasis",
         "QObjective",
         "RankSelection",
@@ -42,16 +40,13 @@ def test_public_api_is_unchanged():
         "ls_reduced",
         "mse_theoretical_ls",
         "mse_theoretical_tls_full",
-        "norm_dependence_certificate",
         "order_by_scores",
         "planted_model",
-        "projector",
         "q_objective",
         "q_objective_bias_recipe",
         "run",
         "sample_ls",
         "sample_tls",
-        "search_norm_dependence_witness",
         "select_rank_ls",
         "spectrum_model",
         "svd",

@@ -3,7 +3,6 @@ import sys
 import threading
 import time
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -29,8 +28,6 @@ from rrtls import (
     run,
     sample_ls,
     sample_tls,
-    search_norm_dependence_witness,
-    norm_dependence_certificate,
     select_rank_ls,
     mse_theoretical_tls_full,
     svd,
@@ -38,7 +35,6 @@ from rrtls import (
     tls_solve,
     verify_chi_square,
 )
-from rrtls.acceptance import _brute_force_q_star
 from rrtls.harness import VecStats
 from rrtls.model import sample_tls_block
 from rrtls.svdtools import ORTHO_TOL
@@ -372,24 +368,20 @@ def test_comparison_rejects_a_bound_mode_before_drawing(no_draws):
         compare_selection_rules(spec, [0.0, 1.0])
 
 
-@pytest.mark.parametrize("grid", [[], [0.0, float("nan")], [0.0, -1.0], 2.0],
-                         ids=["empty", "nan", "negative", "scalar"])
-@pytest.mark.parametrize("name", ["grid", "theta_norm2_grid"])
-def test_grid_functions_reject_a_bad_grid_by_name(no_draws, name, grid):
-    if name == "grid":
-        spec = ExperimentSpec(model=tls_model(), family="rrtls", trials=10, seed=1)
-        call = partial(compare_selection_rules, spec)
-    else:
-        call = partial(norm_dependence_certificate, scores=np.zeros(5), sigma2=0.25, p=4)
-    with pytest.raises(ValueError, match=rf"^{name} "):
-        call(grid)
+@pytest.mark.parametrize("grid", [[], [0.0, float("nan")], [0.0, -1.0], 2.0, [0.0, float("inf")],
+                                  None, "0,1"],
+                         ids=["empty", "nan", "negative", "scalar", "inf", "none", "string"])
+def test_grid_functions_reject_a_bad_grid_by_name(no_draws, grid):
+    spec = ExperimentSpec(model=tls_model(), family="rrtls", trials=10, seed=1)
+    with pytest.raises(ValueError, match=r"^grid "):
+        compare_selection_rules(spec, grid)
 
 
 def test_single_grid_point_never_flags():
     spec = ExperimentSpec(model=tls_model(), family="rrtls", trials=50, seed=27)
     comp = compare_selection_rules(spec, [1.0])
     assert not comp.theta_dependent
-    assert comp.witness is None
+    assert comp.witness is None and comp.moved == 0
     assert comp.q_star_freq.shape == (1, 4)
 
 
@@ -401,103 +393,113 @@ def test_noiseless_selection_is_grid_invariant():
     assert np.array_equal(comp.q_star_freq[0], comp.q_star_freq[-1])
 
 
+def _per_trial_ranks(model, seed, trial, grid):
+    # the oracle rank of each grid value for one trial, from its per-trial
+    # scores
+    scores = _replay_tls_front(model, seed, trial, tls_solve, {})[3]
+    return [q_objective(scores, model.sigma2, model.p, t, "oracle").q_star for t in grid]
+
+
 def test_noisy_selection_depends_on_norm():
     # noise scores comparable to the threshold make the selected rank move
     # with the assumed parameter norm on at least one paired realization
     model = tls_model(sigma2=0.25, seed=31)
     spec = ExperimentSpec(model=model, family="rrtls", trials=200, seed=31)
     comp = compare_selection_rules(spec, [0.0, 30.0])
-    assert comp.theta_dependent
+    assert comp.theta_dependent and comp.moved > 0
     w = comp.witness
     assert w["q1"] != w["q2"]
-    # recheck the witness trial with the certificate helper
     assert w["t1"] == 0.0 and w["t2"] == 30.0
+    # recheck the witness trial through the per-trial pipeline
+    assert _per_trial_ranks(model, 31, w["trial"], [w["t1"], w["t2"]]) == [w["q1"], w["q2"]]
 
 
 @pytest.mark.parametrize("grid", [[0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 30.0], [0.5, 0.5, 0.0, 30.0]],
                          ids=["bench-grid", "repeated-first-value"])
 def test_comparison_witness_is_the_certificate_witness_of_its_trial(grid):
-    # the witness is read from the trial's row of selected ranks; the
-    # certificate of that trial's per-trial scores gives the same pair
+    # the witness is read from the trial's row of selected ranks; per-trial
+    # q_objective at each grid value, on that trial's scores, moves first
+    # between the first grid value and the same second one
     model = gaussian_model(N=16, p=4, theta=[1.0, -0.5, 0.25, 2.0], sigma2=0.25, seed=3)
     comp = compare_selection_rules(ExperimentSpec(model=model, family="rrtls", trials=512, seed=3),
                                    grid)
     w = comp.witness
-    real = sample_tls(model, 3, w["trial"])
-    est = tls_solve(real.H_tilde, real.y)
-    basis = order_by_scores(est.retained_columns, real.y)
-    scores = augmented_scores(basis, est.discarded_column, real.y)
-    cert = norm_dependence_certificate(grid, scores, model.sigma2, model.p)
+    q = _per_trial_ranks(model, 3, w["trial"], grid)
+    i = next(i for i, qi in enumerate(q) if qi != q[0])
     assert [(k, type(v)) for k, v in w.items()] == [
         ("trial", int), ("t1", float), ("t2", float), ("q1", int), ("q2", int)]
-    assert (w["t1"], w["t2"], w["q1"], w["q2"]) == cert.witness
+    assert (w["t1"], w["t2"], w["q1"], w["q2"]) == (grid[0], grid[i], q[0], q[i])
 
 
-def test_witness_search_is_deterministic_and_verifiable():
-    a = search_norm_dependence_witness(p=4, sigma2=0.25)
-    b = search_norm_dependence_witness(p=4, sigma2=0.25)
-    assert np.array_equal(a.scores, b.scores)
-    assert (a.t1, a.t2, a.q1, a.q2) == (b.t1, b.t2, b.q1, b.q2)
-    cert = norm_dependence_certificate([a.t1, a.t2], a.scores, a.sigma2, a.p)
-    assert not cert.is_constant
-    assert tuple(cert.q_stars) == (a.q1, a.q2)
+_BENCH_GRID = [0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 30.0]
 
 
-def test_witness_is_constructed_midway_between_the_first_two_thresholds():
-    # two scores at sigma2 (2 + t1 + t2) clear 2 sigma2 (1 + t1) = 0.5 and
-    # stay below 2 sigma2 (1 + t2) = 1.0
-    w = search_norm_dependence_witness()
-    assert w.scores.tolist() == [0.75, 0.75, 0.0, 0.0, 0.0]
-    assert (w.t1, w.t2, w.q1, w.q2) == (0.0, 1.0, 2, 1)
-    grid = (0.0, 1.0, 3.0, 10.0)
-    assert (w.t1, w.t2, w.q1, w.q2) == norm_dependence_certificate(grid, w.scores, w.sigma2, w.p).witness
+def _bench_grid_model():
+    # the tls-grid benchmark's model
+    return gaussian_model(N=16, p=4, theta=[1.0, -0.5, 0.25, 2.0], sigma2=0.25, seed=3)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    p=st.integers(2, 12),
-    sigma2=st.floats(1e-6, 1e6),
-    t_grid=st.lists(st.integers(0, 4096).map(lambda k: k / 8), min_size=2, max_size=6).filter(
-        lambda grid: len(set(grid)) > 1),
-)
-def test_witness_pairs_the_first_grid_value_with_the_first_that_differs(p, sigma2, t_grid):
-    w = search_norm_dependence_witness(p=p, sigma2=sigma2, t_grid=t_grid)
-    t2 = next(t for t in t_grid if t != t_grid[0])
-    assert (w.t1, w.t2) == (t_grid[0], t2) and {w.q1, w.q2} == {1, 2}
-    assert w.scores.shape == (p + 1,)
-    assert (_brute_force_q_star(w.scores, sigma2, p, w.t1),
-            _brute_force_q_star(w.scores, sigma2, p, w.t2)) == (w.q1, w.q2)
+@pytest.mark.parametrize("grid, moves", [
+    (_BENCH_GRID, True),
+    ([0.0, 5.3125], True),
+    ([0.5, 0.5, 0.0, 30.0], True),
+    (_BENCH_GRID[::-1], True),
+    ([1.0], False),
+    ([2.0, 2.0], False),
+], ids=["bench-grid", "zero-and-true-norm", "repeated-first-value", "descending", "one-value",
+        "one-value-twice"])
+def test_move_count_matches_a_per_trial_recount(grid, moves):
+    # the tls-grid benchmark's model and sweep size: a trial moves when its
+    # per-trial q_objective ranks differ between two grid values, and one
+    # distinct grid value moves none
+    model = _bench_grid_model()
+    spec = ExperimentSpec(model=model, family="rrtls", trials=512, seed=3)
+    comp = compare_selection_rules(spec, grid)
+    _assert_grid_matches_reference(comp, spec, grid, tls_solve)
+    assert (0 < comp.moved < comp.completed) == moves
+    assert comp.theta_dependent == moves == (comp.witness is not None)
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"sigma2": 0.0}, "sigma2 must be finite and > 0"),
-    ({"sigma2": -0.25}, "sigma2 must be finite and > 0"),
-    ({"sigma2": float("nan")}, "sigma2 must be finite and > 0"),
-    ({"sigma2": float("inf")}, "sigma2 must be finite and > 0"),
-    ({"sigma2": True}, "sigma2 must be finite and > 0"),
-    ({"t_grid": (1.0,)}, "t_grid needs two distinct values"),
-    ({"t_grid": (2.0, 2.0, 2.0)}, "t_grid needs two distinct values"),
-    ({"t_grid": ()}, "t_grid needs two distinct values"),
-    ({"t_grid": (0.0, -1.0)}, "t_grid must be a non-empty sequence"),
-    ({"t_grid": (0.0, float("nan"))}, "t_grid must be a non-empty sequence"),
-    ({"t_grid": 2.0}, "t_grid must be a non-empty sequence"),
-    ({"t_grid": (0.0, 1e-17)}, r"thresholds 2 sigma2 \(1 \+ t\) that no finite score separates"),
-    ({"p": 2.5}, "p must be a positive integer"),
-    ({"p": 0}, "p must be a positive integer"),
-    ({"p": 1}, "p must be at least 2 for a witness"),
-], ids=["zero", "negative", "nan", "inf", "bool", "one", "repeated", "empty",
-        "t-negative", "t-nan", "t-scalar", "t-inseparable", "p-float", "p-zero", "p-one"])
-def test_witness_search_refuses_inputs_without_a_witness(monkeypatch, kwargs, message):
-    # with sigma2 = 0 every threshold 2 sigma2 (1 + t) is 0, one grid value
-    # cannot disagree with itself, 1 + 1e-17 rounds to 1, and one retained
-    # score selects rank 1 at every norm: no scores give a witness, and
-    # neither does an invalid grid or p; each is named before any work
-    def refuse(*args):
-        raise AssertionError("a certificate was evaluated")
+@pytest.mark.parametrize("reorder", [
+    lambda g: g[::-1],
+    lambda g: g[3:] + g[:3],
+    lambda g: [g[i] for i in (5, 0, 7, 2, 6, 1, 4, 3)],
+    lambda g: g + g,
+    lambda g: [g[0]] + g + [g[-1], g[4]],
+], ids=["reversed", "rotated", "shuffled", "doubled", "with-repeats"])
+def test_move_count_does_not_depend_on_grid_order_or_repeats(reorder):
+    # a trial moves when its ranks over the grid are not all equal, which no
+    # reordering or repeat of the grid values changes; each grid value keeps
+    # its row of rank frequencies wherever it stands
+    spec = ExperimentSpec(model=_bench_grid_model(), family="rrtls", trials=512, seed=3)
+    base = compare_selection_rules(spec, _BENCH_GRID)
+    grid = reorder(list(_BENCH_GRID))
+    comp = compare_selection_rules(spec, grid)
+    assert comp.moved == base.moved > 0 and comp.completed == base.completed
+    for i, t in enumerate(grid):
+        assert np.array_equal(comp.q_star_freq[i], base.q_star_freq[_BENCH_GRID.index(t)])
 
-    monkeypatch.setattr(harness_mod, "norm_dependence_certificate", refuse)
-    with pytest.raises(ValueError, match=message):
-        search_norm_dependence_witness(**kwargs)
+
+@pytest.mark.parametrize("splits", [[], [1], [3, 5], [1, 2, 3, 4, 5, 6, 7]],
+                         ids=["one-chunk", "first-alone", "three-chunks", "one-trial-chunks"])
+def test_tally_counts_movers_across_chunks(splits):
+    # eight trials on a two-norm grid: trials 2, 5 and 6 move, and however
+    # the trials are chunked the tally counts them once and names trial 2
+    ranks = np.array([[0, 1, 2, 3, 0, 1, 2, 3],
+                      [0, 1, 1, 3, 0, 3, 0, 3]])
+    tally = harness_mod._Tally(2, 4)
+    bounds = [0] + splits + [8]
+    for a, b in zip(bounds, bounds[1:]):
+        tally.merge((np.arange(a, b), ranks[:, a:b], {}, {}))
+    assert tally.completed == 8 and tally.moved == 3
+    assert tally.mover[0] == 2 and tally.mover[1].tolist() == [3, 2]
+    assert tally.counts.tolist() == [[2, 2, 2, 2], [3, 2, 0, 3]]
+
+
+def test_tally_of_one_norm_never_moves():
+    tally = harness_mod._Tally(1, 4)
+    tally.merge((np.arange(4), np.array([[0, 1, 2, 3]]), {}, {}))
+    assert tally.moved == 0 and tally.mover is None
 
 
 @pytest.mark.parametrize("k", [-20, -3, 1, 4, 30])
@@ -625,14 +627,14 @@ def test_selection_comparison_matches_per_trial_reference(monkeypatch):
     spec = ExperimentSpec(model=model, family="rrtls", trials=200, seed=31)
     grid = [0.0, 1.0, 30.0]
     comp = compare_selection_rules(spec, grid)
-    counts, counts_alt, failures, witness = _grid_reference(spec, grid, solve)
+    counts, counts_alt, failures, witness, moved = _grid_reference(spec, grid, solve)
     completed = spec.trials - sum(failures.values())
     assert failures.get("nonunique-tls", 0) > 0 and witness is not None
     assert comp.completed == completed
     assert comp.failures == failures
     assert np.array_equal(comp.q_star_freq, counts / completed)
     assert np.array_equal(comp.q_star_freq, counts_alt / completed)
-    assert comp.witness == witness
+    assert comp.witness == witness and comp.moved == moved
 
 
 # ---------------------------------------------------------------------------
@@ -1168,6 +1170,7 @@ def _grid_reference(spec, grid, solve):
     counts_alt = np.zeros_like(counts)
     failures = {}
     witness = None
+    moved = 0
     for t in range(spec.trials):
         front = _replay_tls_front(model, spec.seed, t, solve, failures)
         if front is None:
@@ -1177,17 +1180,18 @@ def _grid_reference(spec, grid, solve):
         for i, g in enumerate(grid):
             counts[i, q[i] - 1] += 1
             counts_alt[i, int(np.argmin(q_objective_bias_recipe(scores, sigma2, p, g)))] += 1
-        moved = [i for i in range(len(grid)) if q[i] != q[0]]
-        if witness is None and moved:
-            i = moved[0]
+        movers = [i for i in range(len(grid)) if q[i] != q[0]]
+        moved += bool(movers)
+        if witness is None and movers:
+            i = movers[0]
             witness = {"trial": t, "t1": grid[0], "t2": grid[i], "q1": q[0], "q2": q[i]}
-    return counts, counts_alt, failures, witness
+    return counts, counts_alt, failures, witness, moved
 
 
 def _assert_grid_matches_reference(comp, spec, grid, solve):
-    counts, counts_alt, failures, witness = _grid_reference(spec, grid, solve)
+    counts, counts_alt, failures, witness, moved = _grid_reference(spec, grid, solve)
     completed = spec.trials - sum(failures.values())
-    assert comp.completed == completed and comp.failures == failures
+    assert comp.completed == completed and comp.failures == failures and comp.moved == moved
     if completed:
         assert np.array_equal(comp.q_star_freq, counts / completed)
         assert np.array_equal(comp.q_star_freq, counts_alt / completed)

@@ -17,10 +17,8 @@ from rrtls import (
     ls_full,
     ls_reduced,
     mse_theoretical_ls,
-    norm_dependence_certificate,
     order_by_scores,
     planted_model,
-    projector,
     q_objective,
     q_objective_bias_recipe,
     run,
@@ -34,6 +32,7 @@ from rrtls import (
     tls_solve,
     trial_rng,
 )
+from rrtls.svdtools import check_rank
 
 SEED = 424201
 
@@ -449,8 +448,8 @@ def test_public_ls_layer_rejects_bad_input_by_name(case):
 _RANK_FUNCTIONS = {
     "ls_reduced": lambda basis, r: ls_reduced(basis, _y6(), r),
     "tls_reduced": lambda basis, r: tls_reduced(basis, _y6(), r),
-    "projector": projector,
     "bias_estimate": lambda basis, r: bias_estimate(basis, _y6(), r, sigma2=0.1),
+    "check_rank": check_rank,
     "mse_theoretical_ls": lambda basis, r: mse_theoretical_ls(
         MeasurementModel(_H6, np.ones(3), sigma2=0.1), basis, r),
 }
@@ -524,8 +523,6 @@ _RULE_CALLS = {
     "q_objective": lambda sigma2, theta_norm2: q_objective(_SCORES3, sigma2, 2, theta_norm2, "oracle"),
     "q_objective_bias_recipe": lambda sigma2, theta_norm2: q_objective_bias_recipe(
         _SCORES3, sigma2, 2, theta_norm2),
-    "norm_dependence_certificate": lambda sigma2, theta_norm2: norm_dependence_certificate(
-        [0.0, 1.0], _SCORES3, sigma2, 2),
     "bias_estimate": lambda sigma2, theta_norm2: bias_estimate(_basis6(), _y6(), 2, sigma2),
 }
 _RULE_ARGUMENTS = [(name, "sigma2") for name in sorted(_RULE_CALLS)] + [

@@ -14,7 +14,6 @@ from rrtls import (
     bias_estimate,
     gaussian_model,
     ls_full,
-    norm_dependence_certificate,
     order_by_scores,
     planted_model,
     q_objective,
@@ -368,9 +367,8 @@ _ARRAY_FIELDS = {
     "RankSelection": ("objective",),
     "TlsEstimate": ("theta_hat", "x_hat", "n_hat", "H_corrected"),
     "QObjective": ("values", "scores"),
-    "NormDependenceCertificate": ("theta_norm2_grid", "q_stars"),
 }
-_INTS = {"permutation", "q_stars"}
+_INTS = {"permutation"}
 
 
 def _public_results():
@@ -383,7 +381,6 @@ def _public_results():
     Q = np.linalg.qr(rng.standard_normal((8, 3)))[0]
     basis = order_by_scores(Q, y)
     scores = np.array([4.0, 2.0, 1.0, 0.5])
-    grid = np.array([0.0, 1.0, 10.0])
     results = [
         sample_tls(model, 3, 0),
         svd(H),
@@ -393,9 +390,8 @@ def _public_results():
         select_rank_ls(basis, 0.1, 3),
         tls_solve(H, y),
         q_objective(scores, 0.1, 3, 1.0, "oracle"),
-        norm_dependence_certificate(grid, scores, 0.1, 3),
     ]
-    return results, [H, y, Q, scores, grid]
+    return results, [H, y, Q, scores]
 
 
 def test_public_results_hold_read_only_copies_of_their_arrays():

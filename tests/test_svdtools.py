@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrtls import OrderedBasis, ls_reduced, order_by_scores, projector, svd
+from rrtls import OrderedBasis, ls_reduced, order_by_scores, svd
+from rrtls.svdtools import check_rank
 
 
 def random_orthonormal(n, k, seed):
@@ -98,51 +99,18 @@ def test_order_rejects_bad_inputs():
         order_by_scores(np.ones((6, 2)), np.ones(6))
 
 
-def test_projector_full_rank():
-    U = random_orthonormal(8, 3, seed=3)
-    basis = order_by_scores(U, np.arange(8.0))
-    P = projector(basis, 3)
-    np.testing.assert_allclose(P, U @ U.T, atol=1e-12)
-    assert abs(np.trace(P) - 3.0) <= 1e-10
-
-
-def test_projector_single_coordinate():
-    U = np.eye(5)[:, :2]
-    y = np.array([2.0, 1.0, 0.0, 0.0, 0.0])
-    basis = order_by_scores(U, y)
-    P = projector(basis, 1)
-    expected = np.zeros((5, 5))
-    expected[0, 0] = 1.0
-    np.testing.assert_allclose(P, expected, atol=1e-20)
-
-
-@pytest.mark.parametrize("seed", [8, 9, 10])
-def test_projector_expansion_oracle(seed):
-    rng = np.random.default_rng(seed)
-    U = random_orthonormal(10, 4, seed=seed + 50)
-    y = rng.standard_normal(10)
-    basis = order_by_scores(U, y)
-    for r in range(1, 5):
-        P = projector(basis, r)
-        # independent expansion sum
-        expected = np.zeros(10)
-        for j in range(r):
-            u = basis.columns[:, j]
-            expected += (u @ y) * u
-        assert np.linalg.norm(P @ y - expected) <= 1e-12
-        # symmetry, idempotence, trace
-        assert np.linalg.norm(P - P.T) <= 1e-12
-        assert np.linalg.norm(P @ P - P) <= 1e-10
-        assert abs(np.trace(P) - r) <= 1e-10
-
-
-def test_projector_range_errors():
-    U = random_orthonormal(6, 2, seed=1)
-    basis = order_by_scores(U, np.ones(6))
-    with pytest.raises(ValueError):
-        projector(basis, 0)
-    with pytest.raises(ValueError):
-        projector(basis, 3)
+@pytest.mark.parametrize("r, message", [
+    (0, "rank r must be a positive integer"),
+    (-1, "rank r must be a positive integer"),
+    (3, r"rank r=3 out of range 1\.\.2"),
+], ids=["zero", "negative", "above-k"])
+def test_check_rank_range_errors(r, message):
+    # the ranks every reduced estimator checks: 1..k for a k-column basis
+    basis = order_by_scores(random_orthonormal(6, 2, seed=1), np.ones(6))
+    with pytest.raises(ValueError, match=message):
+        check_rank(basis, r)
+    check_rank(basis, 1)
+    check_rank(basis, 2)
 
 
 def test_parseval_on_column_span():
@@ -162,11 +130,11 @@ def test_sign_invariance(seed):
     flips = rng.choice([-1.0, 1.0], size=4)
     basis = order_by_scores(U, y)
     flipped = order_by_scores(U * flips, y)
-    # scores, selection order and projectors are bit-identical under sign flips
+    # scores, selection order and reduced-rank estimates are bit-identical
+    # under sign flips
     assert np.array_equal(basis.scores, flipped.scores)
     assert np.array_equal(basis.permutation, flipped.permutation)
     for r in (1, 2, 3, 4):
-        assert np.array_equal(projector(basis, r), projector(flipped, r))
         assert np.array_equal(ls_reduced(basis, y, r), ls_reduced(flipped, y, r))
 
 

@@ -17,7 +17,6 @@ from rrtls import (
     q_objective_bias_recipe,
     run,
     sample_tls,
-    norm_dependence_certificate,
     tls_objective,
     tls_reduced,
     tls_solve,
@@ -323,8 +322,6 @@ def test_q_rules_reject_a_rank_count_that_is_not_a_positive_integer(p):
         q_objective([1.0, 1.0], 0.1, p, 1.0, "oracle")
     with pytest.raises(ValueError, match="p must be a positive integer"):
         q_objective_bias_recipe([1.0, 1.0], 0.1, p, 1.0)
-    with pytest.raises(ValueError, match="p must be a positive integer"):
-        norm_dependence_certificate([0.0, 1.0], [1.0, 1.0], 0.1, p)
 
 
 def test_q_objective_bound_mode_matches_oracle_formula():
@@ -449,48 +446,6 @@ def test_tls_solution_is_orthogonally_invariant(seed):
     np.testing.assert_allclose(rotated.theta_hat, est.theta_hat, rtol=1e-9)
     np.testing.assert_allclose(rotated.x_hat, Q @ est.x_hat, rtol=1e-9,
                                atol=1e-12 * np.linalg.norm(real.y))
-
-
-def test_certificate_trivial_cases():
-    cert = norm_dependence_certificate([0.0, 1.0, 5.0], np.zeros(5), sigma2=0.2, p=4)
-    assert cert.is_constant
-    assert np.all(cert.q_stars == 1)
-    assert cert.witness is None
-
-    single = norm_dependence_certificate([2.0], np.array([4.0, 2.0, 1.0]), sigma2=0.5, p=2)
-    assert single.is_constant
-
-    with pytest.raises(ValueError, match="non-empty"):
-        norm_dependence_certificate([], np.zeros(5), 0.1, 4)
-
-
-def test_certificate_flags_dependence():
-    cert = norm_dependence_certificate([0.0, 3.0], np.array([8.0, 4.0, 0.0]), sigma2=1.0, p=2)
-    assert not cert.is_constant
-    t1, t2, q1, q2 = cert.witness
-    assert (t1, t2) == (0.0, 3.0)
-    assert (q1, q2) == (2, 1)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    retained=st.lists(_normal_floats(0.0, 50.0), min_size=1, max_size=6),
-    discarded=_normal_floats(0.0, 50.0),
-    sigma2=_normal_floats(0.0, 4.0),
-    grid=st.lists(_normal_floats(0.0, 50.0), min_size=1, max_size=8),
-)
-def test_certificate_matches_the_per_value_rule(retained, discarded, sigma2, grid):
-    # the reference is one q_objective per grid value, and the witness is
-    # the first grid value whose rank differs from the first value's
-    p = len(retained)
-    scores = np.append(np.sort(retained)[::-1], discarded)
-    q_stars = [q_objective(scores, sigma2, p, t, "oracle").q_star for t in grid]
-    moved = [i for i, q in enumerate(q_stars) if q != q_stars[0]]
-    witness = (grid[0], grid[moved[0]], q_stars[0], q_stars[moved[0]]) if moved else None
-    cert = norm_dependence_certificate(grid, scores, sigma2, p)
-    assert cert.q_stars.tolist() == q_stars
-    assert cert.witness == witness
-    assert cert.is_constant == (witness is None)
 
 
 def test_augmented_scores_layout():
