@@ -13,10 +13,13 @@ first alternating between pairs so that drift in the host's speed falls
 on both alike.  The record holds the
 command, the machine, each side's ``env`` line, every run's metrics,
 whether it printed ``"correct": true``, its ``artifact_sha256``, and per
-workload the distinct artifact hashes of each side, the median and
-quartiles of each end-to-end metric of ``BENCHMARK.json`` on each side,
-the parent's spread between quartiles, the median paired gain, and the
-number of pairs the change won.
+workload the distinct artifact hashes of each side, the failed runs of
+each side split into those that failed only on the traced layer
+accounting check (``layer self times add up to``) and those that failed
+on any other check, the median and quartiles of each end-to-end metric
+of ``BENCHMARK.json`` on each side, the parent's spread between
+quartiles, the median paired gain, and the number of pairs the change
+won.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# The one check line of a traced run that compares the layers' summed
+# self times with the sweep's wall time.
+ACCOUNTING_CHECK = "layer self times add up to"
 
 
 def resolve(ref: str) -> str:
@@ -58,6 +64,19 @@ def export(commit: str, path: str) -> str:
     return path
 
 
+def failure_kind(correct: bool, stderr: str):
+    """Why a run failed, read from its stderr: ``None`` if it passed,
+    ``"accounting_only"`` if every check line it printed is the layer
+    accounting check, else ``"other"`` (another check, or a failure that
+    printed no check line)."""
+    if correct:
+        return None
+    problems = [line for line in stderr.splitlines() if "check:" in line]
+    if problems and all(ACCOUNTING_CHECK in line for line in problems):
+        return "accounting_only"
+    return "other"
+
+
 def run_once(root: str, args, workload: str) -> dict:
     """One ``bench/run.py`` run from ``root``: its env line, its final JSON
     line and its wall time; the stderr tail if it printed no result."""
@@ -76,11 +95,11 @@ def run_once(root: str, args, workload: str) -> dict:
         result = None
     run = {"wall_s": round(wall, 3), "returncode": proc.returncode, "env": env,
            "artifact_sha256": sha}
+    run["correct"] = result is not None and result["correct"]
+    run["failure"] = failure_kind(run["correct"], proc.stderr)
     if result is None:
-        run["correct"] = False
         run["stderr_tail"] = proc.stderr[-2000:]
         return run
-    run["correct"] = result["correct"]
     run["attempted"], run["failed"] = result["attempted"], result["failed"]
     run["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
     problems = [line for line in proc.stderr.splitlines() if "check:" in line]
@@ -170,6 +189,9 @@ def main(argv=None) -> int:
             workloads[workload] = {
                 "correct_runs": {side: sum(p[side]["correct"] for p in pairs)
                                  for side in ("parent", "change")},
+                "failed_runs": {side: {kind: sum(p[side]["failure"] == kind for p in pairs)
+                                       for kind in ("accounting_only", "other")}
+                                for side in ("parent", "change")},
                 "artifact_sha256": {side: sorted({p[side]["artifact_sha256"] for p in pairs
                                                   if p[side]["artifact_sha256"]})
                                     for side in ("parent", "change")},
@@ -204,8 +226,8 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     for workload, data in workloads.items():
-        print(f"{workload}: correct runs {data['correct_runs']}, artifact_sha256 "
-              f"{data['artifact_sha256']}")
+        print(f"{workload}: correct runs {data['correct_runs']}, failed runs "
+              f"{data['failed_runs']}, artifact_sha256 {data['artifact_sha256']}")
         for name, s in data["summary"].items():
             print(f"  {name}: parent {s['parent_median']:.6g} {s['parent_quartiles']}, change "
                   f"{s['change_median']:.6g}, median gain {s['median_gain']:+.3%} (parent spread "

@@ -37,21 +37,10 @@ SWEEP_HEADER = ["family", "r", "trials", "mse_emp", "mse_se", "mse_theory", "rst
 
 def sweep_rows(result) -> List[list]:
     """One row per rank with the exact sweep column set."""
-    rows = []
-    for i, r in enumerate(result.ranks):
-        rows.append(
-            [
-                result.family,
-                int(r),
-                result.completed,
-                float(result.mse_emp[i]),
-                float(result.mse_se[i]),
-                float(result.mse_theory[i]),
-                float(result.sel_freq[i]),
-                bool(result.row_pass[i]),
-            ]
-        )
-    return rows
+    columns = zip(result.ranks, result.mse_emp, result.mse_se, result.mse_theory,
+                  result.sel_freq, result.row_pass)
+    return [[result.family, int(r), result.completed, float(emp), float(se), float(theory),
+             float(freq), bool(ok)] for r, emp, se, theory, freq, ok in columns]
 
 
 @dataclass

@@ -31,7 +31,9 @@ raises ``RuntimeError`` unless the block's first row equals it bit for
 bit.  Errors-in-variables chunks after the first run on worker threads
 (``_chunk_map``); one tally merges every chunk's rank counts, rejections
 and central moments on the calling thread in chunk order, so the bytes do
-not depend on the lane count, and no per-trial rows are kept.
+not depend on the lane count, and no per-trial rows are kept.  The results
+are frozen value types that derive their rank column and flags from the
+stored aggregates.
 ``verify_chi_square`` turns the normalized-squared-error moment claims of
 any sequence of error vectors into the same pass/fail report that ``run``
 attaches.
@@ -57,6 +59,7 @@ from .errors import InsufficientDataError, check_integer, check_real, finite_arr
 from .ls import _count_rank, _rank_threshold, risk_objective, select_rank_ls, tail_sums  # noqa: F401
 from .model import (
     MeasurementModel,
+    _value_type,
     sample_ls,
     sample_ls_block,
     sample_tls,
@@ -91,13 +94,14 @@ MIN_SAMPLES = 10_000
 
 
 # ---------------------------------------------------------------------------
-# Streaming aggregation
+# Moment aggregation
 # ---------------------------------------------------------------------------
 
 class VecStats:
-    """Streaming central moments up to order four (Welford/Pebay updates),
-    elementwise over arrays.  Supports associative merging of partial
-    aggregates, such as the moments of a block of rows (``from_block``)."""
+    """Central moments up to order four, elementwise over arrays, with one
+    update path: blocks of rows are summarized directly (``from_block``)
+    and merged by Pebay's (2008) pairwise formulas (``merge``); ``add``
+    merges one observation as a one-row block."""
 
     def __init__(self, shape=()):
         self.n = 0
@@ -112,8 +116,7 @@ class VecStats:
         index of axis 0), computed directly with numpy.
 
         The mean is taken about the first row, so a constant column has its
-        value as the exact mean and zero spread, as the streaming update
-        gives.
+        value as the exact mean and zero spread.
         """
         rows = np.asarray(rows, dtype=float)
         stats = cls(rows.shape[1:])
@@ -130,22 +133,8 @@ class VecStats:
         return stats
 
     def add(self, value) -> None:
-        n1 = self.n
-        self.n += 1
-        n = self.n
-        delta = value - self.mean
-        dn = delta / n
-        dn2 = dn * dn
-        term1 = delta * dn * n1
-        self.mean = self.mean + dn
-        self.m4 = (
-            self.m4
-            + term1 * dn2 * (n * n - 3 * n + 3)
-            + 6.0 * dn2 * self.m2
-            - 4.0 * dn * self.m3
-        )
-        self.m3 = self.m3 + term1 * dn * (n - 2) - 3.0 * dn * self.m2
-        self.m2 = self.m2 + term1
+        """Merge one observation, as a one-row block."""
+        self.merge(VecStats.from_block(np.asarray(value, dtype=float)[None]))
 
     def merge(self, other: "VecStats") -> None:
         if other.n == 0:
@@ -183,9 +172,7 @@ class VecStats:
         return self.m2 / (self.n - 1)
 
     def se(self):
-        if self.n < 2:
-            return np.full_like(self.m2, np.nan)
-        return np.sqrt(self.variance() / self.n)
+        return np.sqrt(self.variance() / self.n)  # NaN below two observations
 
     def variance_se(self):
         """Asymptotic standard error of the sample variance."""
@@ -248,7 +235,7 @@ class ExperimentSpec:
         return OBSERVATION_MODEL[self.family]
 
 
-@dataclass
+@_value_type()
 class MomentReport:
     """Empirical mean/variance of a normalized squared error against its
     chi-square reference moments, with standard errors and pass flags.
@@ -267,18 +254,20 @@ class MomentReport:
     var_ok: bool
 
 
-@dataclass
+@_value_type("mse_emp", "mse_se", "mse_theory", "sel_freq", "risk_estimate_mean",
+             "risk_estimate_se")
 class ExperimentResult:
-    """Aggregates of one Monte Carlo run.  All flags are recomputable from
-    the stored aggregates: a row passes when its empirical MSE is within
-    ``MSE_RTOL`` of its theory value (relative) or within 3 SE."""
+    """Aggregates of one Monte Carlo run, one entry per rank ``ranks``.
+    The pass flags ``row_pass`` derive from the stored aggregates: a row
+    passes when its empirical MSE is within ``MSE_RTOL`` of its theory
+    value (relative) or within 3 SE (a NaN SE counts as 0, a NaN MSE
+    fails)."""
 
     family: str
     trials: int
     seed: int
     completed: int
     failures: Dict[str, int]
-    ranks: np.ndarray
     mse_emp: np.ndarray
     mse_se: np.ndarray
     mse_theory: np.ndarray
@@ -289,24 +278,37 @@ class ExperimentResult:
     risk_estimate_se: Optional[np.ndarray]
     tls_full_formula_mean: Optional[float]
     moments: Optional[MomentReport]
-    row_pass: np.ndarray
+
+    @property
+    def ranks(self) -> np.ndarray:
+        return np.arange(1, self.mse_emp.shape[0] + 1)
+
+    @property
+    def row_pass(self) -> np.ndarray:
+        diff = np.abs(self.mse_emp - self.mse_theory)
+        se_term = np.where(np.isfinite(self.mse_se), 3.0 * self.mse_se, 0.0)
+        return diff <= np.maximum(MSE_RTOL * np.abs(self.mse_theory), se_term)
 
 
-@dataclass
+@_value_type("grid", "q_star_freq")
 class SelectionComparison:
     """Selected-rank distributions across a grid of parameter norms,
     evaluated on identical realizations (paired by seed); the bias recipe
     selects the same ranks, so ``q_star_freq`` is its table too.
     ``moved`` counts the completed trials whose selected rank differs
-    between two grid values, and ``witness`` names the first of them."""
+    between two grid values, and ``witness`` names the first of them; the
+    selection is theta dependent exactly when there is one."""
 
     grid: np.ndarray
     q_star_freq: np.ndarray
-    theta_dependent: bool
     witness: Optional[Dict[str, float]]
     moved: int
     completed: int
     failures: Dict[str, int]
+
+    @property
+    def theta_dependent(self) -> bool:
+        return self.witness is not None
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +566,6 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
 
     totals, completed = tally.arms, tally.completed
     means = {name: stats.mean for name, stats in totals.items() if stats.n}
-    mse_emp = means.get("sq", np.full(p, np.nan))
-    mse_theory = means.get("theory", mse_theory)
-    mse_se = totals["sq"].se()
-    diff = np.abs(mse_emp - mse_theory)
-    se_term = np.where(np.isfinite(mse_se), 3.0 * mse_se, 0.0)
-    row_pass = diff <= np.maximum(MSE_RTOL * np.abs(mse_theory), se_term)
     norm = totals.get("norm")
     return ExperimentResult(
         family=spec.family,
@@ -577,10 +573,9 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         seed=spec.seed,
         completed=completed,
         failures=dict(sorted(tally.failures.items())),
-        ranks=np.arange(1, p + 1),
-        mse_emp=mse_emp,
-        mse_se=mse_se,
-        mse_theory=mse_theory,
+        mse_emp=means.get("sq", np.full(p, np.nan)),
+        mse_se=totals["sq"].se(),
+        mse_theory=means.get("theory", mse_theory),
         sel_freq=tally.counts[0] / completed if completed else np.zeros(p),
         auto_mse=float(means.get("auto", np.nan)),
         auto_se=float(totals["auto"].se()),
@@ -588,7 +583,6 @@ def run(spec: ExperimentSpec) -> ExperimentResult:
         risk_estimate_se=totals["risk"].se() if "risk" in means else None,
         tls_full_formula_mean=float(means["formula_full"]) if "formula_full" in means else None,
         moments=_moment_report(norm, p) if norm is not None and norm.n >= 2 else None,
-        row_pass=row_pass,
     )
 
 
@@ -668,7 +662,6 @@ def compare_selection_rules(spec: ExperimentSpec, grid: Sequence[float]) -> Sele
     return SelectionComparison(
         grid=grid_arr,
         q_star_freq=tally.counts / completed if completed else np.zeros(tally.counts.shape),
-        theta_dependent=witness is not None,
         witness=witness,
         moved=tally.moved,
         completed=completed,

@@ -87,13 +87,23 @@ def ls_full(H, y) -> LsEstimate:
     )
 
 
+def _projection_input(basis: OrderedBasis, y, r: int) -> np.ndarray:
+    # y and r of a projection onto kept or discarded ordered columns
+    y = finite_vector(y, "y", basis.columns.shape[0])
+    check_rank(basis, r)
+    return y
+
+
+def _project(columns: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of y onto the span of orthonormal ``columns``."""
+    return columns @ (columns.T @ y)
+
+
 def ls_reduced(basis: OrderedBasis, y, r: int) -> np.ndarray:
     """Rank-r estimate of the signal: projection of y onto the span of the
     first r ordered columns."""
-    y = finite_vector(y, "y", basis.columns.shape[0])
-    check_rank(basis, r)
-    Ur = basis.columns[:, :r]
-    return Ur @ (Ur.T @ y)
+    y = _projection_input(basis, y, r)
+    return _project(basis.columns[:, :r], y)
 
 
 def tail_sums(scores: np.ndarray) -> np.ndarray:
@@ -162,11 +172,9 @@ def bias_estimate(basis: OrderedBasis, y, r: int, sigma2: float) -> BiasEstimate
     ``sigma2 * (p - r)`` in expectation, so that amount is subtracted to
     form the corrected value.
     """
-    y = finite_vector(y, "y", basis.columns.shape[0])
-    check_rank(basis, r)
+    y = _projection_input(basis, y, r)
     _check_rule_inputs(basis.scores, sigma2)
-    tail = basis.columns[:, r:]
-    b_hat = tail @ (tail.T @ y)
+    b_hat = _project(basis.columns[:, r:], y)
     corrected = float(b_hat @ b_hat - sigma2 * (basis.k - r))
     return BiasEstimate(b_hat=b_hat, b_hat_norm2_corrected=corrected, r=r)
 

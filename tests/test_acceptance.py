@@ -97,8 +97,7 @@ def test_witness_replays_at_other_seeds(seed):
 
 def _comparison(moved, witness):
     return SelectionComparison(grid=np.array([0.0, 5.3125]), q_star_freq=np.zeros((2, 4)),
-                               theta_dependent=witness is not None, witness=witness,
-                               moved=moved, completed=100, failures={})
+                               witness=witness, moved=moved, completed=100, failures={})
 
 
 def test_witness_fails_when_no_trial_moves(monkeypatch):

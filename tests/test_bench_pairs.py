@@ -1,6 +1,8 @@
 """scripts/bench_pairs.py names each side of a record by the full hash of
 its commit, resolved before any run, so a record made with ``--parent
-HEAD`` still names that commit after HEAD moves."""
+HEAD`` still names that commit after HEAD moves, and it tells a run that
+failed only on the traced layer accounting check from one that failed on
+any other check."""
 
 import importlib.util
 import os
@@ -65,3 +67,24 @@ def test_resolved_head_still_names_its_commit_after_head_moves(bench_pairs, hist
 def test_resolve_refuses_a_ref_that_names_no_commit(bench_pairs, history, ref):
     with pytest.raises(subprocess.CalledProcessError):
         bench_pairs.resolve(ref)
+
+
+_ACCOUNTING = "output check: layer self times add up to 0.5063 s of a 0.5001 s sweep"
+
+
+@pytest.mark.parametrize("correct, stderr, kind", [
+    (True, "", None),
+    (False, _ACCOUNTING, "accounting_only"),
+    (False, "\n".join([_ACCOUNTING, "progress 3/10", _ACCOUNTING]), "accounting_only"),
+    (False, "\n".join([_ACCOUNTING, "output check: traced artifact differs from the untraced one"]),
+     "other"),
+    (False, "\n".join([_ACCOUNTING, "check: completed 9 + rejected 2 != 10 trials"]), "other"),
+    (False, "output check: layer counts differ between sweeps of one seed", "other"),
+    (False, "check: no traced sweep completed", "other"),
+    (False, "sweep failed: boom", "other"),
+    (False, "", "other"),
+], ids=["passed", "accounting", "accounting-twice", "with-artifact", "with-count", "layer-counts",
+        "no-traced-sweep", "no-check-line", "silent"])
+def test_failure_kind_separates_the_accounting_check_from_the_others(bench_pairs, correct,
+                                                                      stderr, kind):
+    assert bench_pairs.failure_kind(correct, stderr) == kind

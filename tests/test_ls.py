@@ -183,6 +183,19 @@ def test_bias_estimate_zero_noise_equals_score_tail():
         assert np.max(np.abs(kept.T @ b.b_hat)) <= 1e-10
 
 
+def test_kept_and_discarded_projections_add_up_to_the_full_one():
+    # ls_reduced projects y onto the first r ordered columns and the bias
+    # estimate onto the rest, so together they project onto all of them
+    rng = np.random.default_rng(37)
+    Q, _ = np.linalg.qr(rng.standard_normal((12, 5)))
+    y = rng.standard_normal(12)
+    basis = order_by_scores(Q, y)
+    full = basis.columns @ (basis.columns.T @ y)
+    for r in range(1, basis.k + 1):
+        both = ls_reduced(basis, y, r) + bias_estimate(basis, y, r, 0.1).b_hat
+        np.testing.assert_allclose(both, full, rtol=0, atol=1e-12)
+
+
 def test_bias_estimate_unbiased(planted):
     # corrected squared norm averages to the true discarded signal energy
     coefficients = np.array([10.0, 7.0, 4.0, 2.0])

@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 
 import rrtls.model
 from rrtls import (
+    ExperimentSpec,
     MeasurementModel,
     ModelInvalidError,
     bias_estimate,
+    compare_selection_rules,
     gaussian_model,
     ls_full,
     order_by_scores,
     planted_model,
     q_objective,
+    run,
     sample_ls,
     sample_tls,
     select_rank_ls,
@@ -367,6 +370,10 @@ _ARRAY_FIELDS = {
     "RankSelection": ("objective",),
     "TlsEstimate": ("theta_hat", "x_hat", "n_hat", "H_corrected"),
     "QObjective": ("values", "scores"),
+    "ExperimentResult": ("mse_emp", "mse_se", "mse_theory", "sel_freq", "risk_estimate_mean",
+                         "risk_estimate_se"),
+    "SelectionComparison": ("grid", "q_star_freq"),
+    "MomentReport": (),
 }
 _INTS = {"permutation"}
 
@@ -381,6 +388,8 @@ def _public_results():
     Q = np.linalg.qr(rng.standard_normal((8, 3)))[0]
     basis = order_by_scores(Q, y)
     scores = np.array([4.0, 2.0, 1.0, 0.5])
+    grid = np.array([0.0, 1.0])
+    swept = run(ExperimentSpec(model=model, family="ls", trials=20, seed=3))
     results = [
         sample_tls(model, 3, 0),
         svd(H),
@@ -390,13 +399,21 @@ def _public_results():
         select_rank_ls(basis, 0.1, 3),
         tls_solve(H, y),
         q_objective(scores, 0.1, 3, 1.0, "oracle"),
+        swept,
+        swept.moments,
+        compare_selection_rules(ExperimentSpec(model=model, family="rrtls", trials=20, seed=3),
+                                grid),
     ]
-    return results, [H, y, Q, scores]
+    return results, [H, y, Q, scores, grid]
 
 
 def test_public_results_hold_read_only_copies_of_their_arrays():
     results, inputs = _public_results()
     assert sorted(type(r).__name__ for r in results) == sorted(_ARRAY_FIELDS)
+    for r in results:
+        first = dataclasses.fields(r)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, first, getattr(r, first))
     arrays = [(r, f) for r in results for f in _ARRAY_FIELDS[type(r).__name__]]
     before = [getattr(r, f).copy() for r, f in arrays]
     for r, f in arrays:
